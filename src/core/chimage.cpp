@@ -5,8 +5,8 @@
 #include <thread>
 
 #include "buildfile/dockerfile.hpp"
+#include "core/syscall_stack.hpp"
 #include "image/tar.hpp"
-#include "kernel/observe.hpp"
 #include "kernel/syscalls.hpp"
 #include "obs/flightrec.hpp"
 #include "support/path.hpp"
@@ -196,38 +196,15 @@ Result<kernel::Process> ChImage::enter(const std::string& image_dir,
   opts.env = cfg.env;
   opts.kernel_auto_maps = options_.kernel_assisted_maps;
   MINICON_TRY_ASSIGN(container, enter_type3(m_, invoker_, rootfs, opts));
-  // Interposition stack, innermost first: metrics observation, then the
-  // zero-consistency filter, then caller-supplied layers (fault injection,
-  // ...), then tracing, then fakeroot outermost so the lies database sees
-  // the build's view of every faked operation. ObserveSyscalls sits below
-  // the caller layers so an injected fault short-circuits above it and
-  // never skews the organic syscall.errno.* counters (it is counted as
-  // syscall.fault_injected by the fault layer instead). The same reasoning
-  // places ZeroConsistencySyscalls directly above Observe: faked ops never
-  // reach the organic counters (they are syscall.zeroconsistency.* instead),
-  // while an injected EPERM fires in the fault layer *before* the filter
-  // could fake it and so still propagates — a seccomp filter models the
-  // kernel's edge, not the C library's.
-  if (options_.trace || options_.observe_syscalls) {
-    container.sys = std::make_shared<kernel::ObserveSyscalls>(
-        container.sys, metrics_, recorder_);
-  }
-  if (options_.force_mode == ForceMode::kSeccomp) {
-    container.sys = std::make_shared<kernel::ZeroConsistencySyscalls>(
-        container.sys, zc_stats_, metrics_, recorder_);
-  }
-  for (const auto& layer : options_.syscall_layers) {
-    if (layer) container.sys = layer(container.sys);
-  }
-  if (stats_ != nullptr) {
-    container.sys =
-        std::make_shared<kernel::TraceSyscalls>(container.sys, stats_);
-  }
-  if (options_.embedded_fakeroot) {
-    // §6.2.2-3: the wrapper lives in the builder, not the image.
-    container.sys = std::make_shared<fakeroot::FakerootSyscalls>(
-        container.sys, embedded_db_, fakeroot::FakerootOptions{});
-  }
+  SyscallStackSinks sinks;
+  sinks.observe = options_.trace || options_.observe_syscalls;
+  sinks.metrics = metrics_;
+  sinks.recorder = recorder_;
+  sinks.zc_stats = zc_stats_;
+  sinks.layers = &options_.syscall_layers;
+  sinks.trace_stats = stats_;
+  if (options_.embedded_fakeroot) sinks.embedded_db = embedded_db_;
+  container.sys = assemble_syscall_stack(container.sys, sinks);
   last_depth_ = kernel::interposition_depth(container.sys.get());
   container.cwd = cfg.workdir.empty() ? "/" : cfg.workdir;
   return container;

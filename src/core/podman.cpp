@@ -5,8 +5,8 @@
 
 #include "buildfile/dockerfile.hpp"
 #include "core/chimage.hpp"  // format_argv
+#include "core/syscall_stack.hpp"
 #include "image/tar.hpp"
-#include "kernel/observe.hpp"
 #include "kernel/syscalls.hpp"
 #include "kernel/userdb.hpp"
 #include "support/path.hpp"
@@ -122,26 +122,13 @@ Result<kernel::Process> Podman::enter(const Layer& layer,
       options_.driver == PodmanOptions::Driver::kOverlay;
   opts.env = cfg.env;
   MINICON_TRY_ASSIGN(c, enter_type2(m_, invoker_, rootfs, opts));
-  // Interposition stack, innermost first: metrics observation, then
-  // caller-supplied layers (fault injection, ...), then tracing outermost
-  // so injected errnos are counted. ObserveSyscalls sits below the caller
-  // layers so injected faults short-circuit above it and never skew the
-  // organic syscall.errno.* counters.
-  if (options_.trace || options_.observe_syscalls) {
-    c.sys = std::make_shared<kernel::ObserveSyscalls>(c.sys, metrics_);
-  }
-  // Zero-consistency filter directly above Observe, below caller layers:
-  // same placement rationale as ch-image (see ChImage::enter).
-  if (options_.force_mode == ForceMode::kSeccomp) {
-    c.sys = std::make_shared<kernel::ZeroConsistencySyscalls>(c.sys, zc_stats_,
-                                                              metrics_);
-  }
-  for (const auto& layer : options_.syscall_layers) {
-    if (layer) c.sys = layer(c.sys);
-  }
-  if (stats_ != nullptr) {
-    c.sys = std::make_shared<kernel::TraceSyscalls>(c.sys, stats_);
-  }
+  SyscallStackSinks sinks;
+  sinks.observe = options_.trace || options_.observe_syscalls;
+  sinks.metrics = metrics_;
+  sinks.zc_stats = zc_stats_;
+  sinks.layers = &options_.syscall_layers;
+  sinks.trace_stats = stats_;
+  c.sys = assemble_syscall_stack(c.sys, sinks);
   last_depth_ = kernel::interposition_depth(c.sys.get());
   c.cwd = cfg.workdir.empty() ? "/" : cfg.workdir;
   // USER instruction: switch to the image-defined user — possible in a

@@ -1,5 +1,7 @@
 #include "kernel/faultinject.hpp"
 
+#include <stdexcept>
+
 #include "support/strings.hpp"
 
 namespace minicon::kernel {
@@ -7,11 +9,19 @@ namespace minicon::kernel {
 FaultInjectSyscalls::FaultInjectSyscalls(std::shared_ptr<Syscalls> inner,
                                          std::uint64_t seed,
                                          std::vector<FaultSpec> specs)
-    : SyscallFilter(std::move(inner)),
+    : SyscallFilter(std::move(inner), kFaultableOps, OpMask{}),
       specs_(std::move(specs)),
       matched_(specs_.size(), 0),
       fired_(specs_.size(), 0),
-      rng_state_(seed == 0 ? 0x9e3779b97f4a7c15ull : seed) {}
+      rng_state_(seed == 0 ? 0x9e3779b97f4a7c15ull : seed) {
+  // A misspelt op would match nothing and the fault would silently never
+  // fire; refuse it up front.
+  for (const FaultSpec& s : specs_) {
+    if (!s.op.empty() && !is_sysop_name(s.op)) {
+      throw std::invalid_argument("FaultSpec: unknown op \"" + s.op + "\"");
+    }
+  }
+}
 
 std::vector<InjectedFault> FaultInjectSyscalls::injected() const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -42,7 +52,8 @@ std::uint64_t FaultInjectSyscalls::next_random() {
   return rng_state_ * 0x2545f4914f6cdd1dull;
 }
 
-Err FaultInjectSyscalls::should_fail(const char* op, const std::string& path) {
+Err FaultInjectSyscalls::before(SysOp sysop, const std::string& path) {
+  const char* op = sysop_name(sysop);
   std::lock_guard<std::mutex> lock(mu_);
   ++seq_;
   for (std::size_t i = 0; i < specs_.size(); ++i) {
@@ -76,117 +87,5 @@ Err FaultInjectSyscalls::should_fail(const char* op, const std::string& path) {
   }
   return Err::none;
 }
-
-#define MINICON_FAULT(op, path)                                   \
-  do {                                                            \
-    if (Err e = should_fail(op, path); e != Err::none) return e;  \
-  } while (0)
-
-Result<vfs::Stat> FaultInjectSyscalls::stat(Process& p,
-                                            const std::string& path) {
-  MINICON_FAULT("stat", path);
-  return SyscallFilter::stat(p, path);
-}
-Result<vfs::Stat> FaultInjectSyscalls::lstat(Process& p,
-                                             const std::string& path) {
-  MINICON_FAULT("lstat", path);
-  return SyscallFilter::lstat(p, path);
-}
-Result<std::string> FaultInjectSyscalls::read_file(Process& p,
-                                                   const std::string& path) {
-  MINICON_FAULT("read", path);
-  return SyscallFilter::read_file(p, path);
-}
-VoidResult FaultInjectSyscalls::write_file(Process& p, const std::string& path,
-                                           std::string data, bool append,
-                                           std::uint32_t create_mode) {
-  MINICON_FAULT("write", path);
-  return SyscallFilter::write_file(p, path, std::move(data), append,
-                                   create_mode);
-}
-Result<std::vector<vfs::DirEntry>> FaultInjectSyscalls::readdir(
-    Process& p, const std::string& path) {
-  MINICON_FAULT("readdir", path);
-  return SyscallFilter::readdir(p, path);
-}
-Result<std::string> FaultInjectSyscalls::readlink(Process& p,
-                                                  const std::string& path) {
-  MINICON_FAULT("readlink", path);
-  return SyscallFilter::readlink(p, path);
-}
-VoidResult FaultInjectSyscalls::mkdir(Process& p, const std::string& path,
-                                      std::uint32_t mode) {
-  MINICON_FAULT("mkdir", path);
-  return SyscallFilter::mkdir(p, path, mode);
-}
-VoidResult FaultInjectSyscalls::mknod(Process& p, const std::string& path,
-                                      vfs::FileType type, std::uint32_t mode,
-                                      std::uint32_t dev_major,
-                                      std::uint32_t dev_minor) {
-  MINICON_FAULT("mknod", path);
-  return SyscallFilter::mknod(p, path, type, mode, dev_major, dev_minor);
-}
-VoidResult FaultInjectSyscalls::symlink(Process& p, const std::string& target,
-                                        const std::string& linkpath) {
-  MINICON_FAULT("symlink", linkpath);
-  return SyscallFilter::symlink(p, target, linkpath);
-}
-VoidResult FaultInjectSyscalls::link(Process& p, const std::string& oldpath,
-                                     const std::string& newpath) {
-  MINICON_FAULT("link", newpath);
-  return SyscallFilter::link(p, oldpath, newpath);
-}
-VoidResult FaultInjectSyscalls::unlink(Process& p, const std::string& path) {
-  MINICON_FAULT("unlink", path);
-  return SyscallFilter::unlink(p, path);
-}
-VoidResult FaultInjectSyscalls::rmdir(Process& p, const std::string& path) {
-  MINICON_FAULT("rmdir", path);
-  return SyscallFilter::rmdir(p, path);
-}
-VoidResult FaultInjectSyscalls::rename(Process& p, const std::string& oldpath,
-                                       const std::string& newpath) {
-  MINICON_FAULT("rename", oldpath);
-  return SyscallFilter::rename(p, oldpath, newpath);
-}
-VoidResult FaultInjectSyscalls::chown(Process& p, const std::string& path,
-                                      Uid uid, Gid gid, bool follow) {
-  MINICON_FAULT("chown", path);
-  return SyscallFilter::chown(p, path, uid, gid, follow);
-}
-VoidResult FaultInjectSyscalls::chmod(Process& p, const std::string& path,
-                                      std::uint32_t mode) {
-  MINICON_FAULT("chmod", path);
-  return SyscallFilter::chmod(p, path, mode);
-}
-VoidResult FaultInjectSyscalls::access(Process& p, const std::string& path,
-                                       int mask) {
-  MINICON_FAULT("access", path);
-  return SyscallFilter::access(p, path, mask);
-}
-VoidResult FaultInjectSyscalls::set_xattr(Process& p, const std::string& path,
-                                          const std::string& name,
-                                          const std::string& value) {
-  MINICON_FAULT("setxattr", path);
-  return SyscallFilter::set_xattr(p, path, name, value);
-}
-Result<std::string> FaultInjectSyscalls::get_xattr(Process& p,
-                                                   const std::string& path,
-                                                   const std::string& name) {
-  MINICON_FAULT("getxattr", path);
-  return SyscallFilter::get_xattr(p, path, name);
-}
-VoidResult FaultInjectSyscalls::mount(Process& p, Mount m) {
-  MINICON_FAULT("mount", m.mountpoint);
-  return SyscallFilter::mount(p, std::move(m));
-}
-VoidResult FaultInjectSyscalls::bind_mount(Process& p, const std::string& src,
-                                           const std::string& dst,
-                                           bool read_only) {
-  MINICON_FAULT("mount", dst);
-  return SyscallFilter::bind_mount(p, src, dst, read_only);
-}
-
-#undef MINICON_FAULT
 
 }  // namespace minicon::kernel

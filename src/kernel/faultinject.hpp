@@ -6,6 +6,11 @@
 // so the same seed over the same workload fails at exactly the same point —
 // tests can assert that a mid-build ENOSPC yields a coherent diagnostic
 // rather than a crash, and replay the identical failure while debugging.
+//
+// The layer is a before-hook over kFaultableOps: the path-taking file,
+// xattr-read/write and mount ops. chdir, identity calls, list/remove
+// xattr, unshare, umount and the /proc map writes are never intercepted and
+// do not advance the call sequence.
 #pragma once
 
 #include <cstdint>
@@ -20,13 +25,23 @@
 namespace minicon::kernel {
 
 struct FaultSpec {
-  std::string op;           // exact operation name ("write", "chown"); empty = any
+  // Exact operation name from kSysOpNames ("write", "chown"); empty = any.
+  // The layer constructor rejects any other name with std::invalid_argument.
+  std::string op;
   std::string path_substr;  // substring of the path argument; empty = any
   Err error = Err::eio;
   double probability = 1.0;        // per matching call, via the seeded PRNG
   std::uint64_t skip = 0;          // let the first N matching calls through
   std::uint64_t max_failures = ~std::uint64_t{0};
 };
+
+inline constexpr OpMask kFaultableOps = op_mask({
+    SysOp::kStat,     SysOp::kLstat,    SysOp::kReadFile, SysOp::kWriteFile,
+    SysOp::kReaddir,  SysOp::kReadlink, SysOp::kMkdir,    SysOp::kMknod,
+    SysOp::kSymlink,  SysOp::kLink,     SysOp::kUnlink,   SysOp::kRmdir,
+    SysOp::kRename,   SysOp::kChown,    SysOp::kChmod,    SysOp::kAccess,
+    SysOp::kSetXattr, SysOp::kGetXattr, SysOp::kMount,    SysOp::kBindMount,
+});
 
 struct InjectedFault {
   std::uint64_t seq = 0;  // global intercepted-call sequence number
@@ -64,44 +79,9 @@ class FaultInjectSyscalls : public SyscallFilter {
   // redirects it (tests use a private recorder). Null restores the global.
   void set_flight_recorder(obs::FlightRecorder* recorder);
 
-  Result<vfs::Stat> stat(Process& p, const std::string& path) override;
-  Result<vfs::Stat> lstat(Process& p, const std::string& path) override;
-  Result<std::string> read_file(Process& p, const std::string& path) override;
-  VoidResult write_file(Process& p, const std::string& path, std::string data,
-                        bool append, std::uint32_t create_mode) override;
-  Result<std::vector<vfs::DirEntry>> readdir(Process& p,
-                                             const std::string& path) override;
-  Result<std::string> readlink(Process& p, const std::string& path) override;
-  VoidResult mkdir(Process& p, const std::string& path,
-                   std::uint32_t mode) override;
-  VoidResult mknod(Process& p, const std::string& path, vfs::FileType type,
-                   std::uint32_t mode, std::uint32_t dev_major,
-                   std::uint32_t dev_minor) override;
-  VoidResult symlink(Process& p, const std::string& target,
-                     const std::string& linkpath) override;
-  VoidResult link(Process& p, const std::string& oldpath,
-                  const std::string& newpath) override;
-  VoidResult unlink(Process& p, const std::string& path) override;
-  VoidResult rmdir(Process& p, const std::string& path) override;
-  VoidResult rename(Process& p, const std::string& oldpath,
-                    const std::string& newpath) override;
-  VoidResult chown(Process& p, const std::string& path, Uid uid, Gid gid,
-                   bool follow) override;
-  VoidResult chmod(Process& p, const std::string& path,
-                   std::uint32_t mode) override;
-  VoidResult access(Process& p, const std::string& path, int mask) override;
-  VoidResult set_xattr(Process& p, const std::string& path,
-                       const std::string& name,
-                       const std::string& value) override;
-  Result<std::string> get_xattr(Process& p, const std::string& path,
-                                const std::string& name) override;
-  VoidResult mount(Process& p, Mount m) override;
-  VoidResult bind_mount(Process& p, const std::string& src,
-                        const std::string& dst, bool read_only) override;
-
  private:
   // Err::none = let the call through; anything else = inject that errno.
-  Err should_fail(const char* op, const std::string& path);
+  Err before(SysOp op, const std::string& path) override;
   std::uint64_t next_random();  // xorshift64*, seeded
 
   mutable std::mutex mu_;

@@ -2,264 +2,42 @@
 
 namespace minicon::kernel {
 
-namespace {
-
-// Every operation name note() can be called with; pre-registered so the
-// per-call path never takes a registry shard lock.
-constexpr const char* kOpNames[] = {
-    "stat",       "lstat",     "read",       "write",       "readdir",
-    "readlink",   "mkdir",     "mknod",      "symlink",     "link",
-    "unlink",     "rmdir",     "rename",     "chown",       "chmod",
-    "access",     "chdir",     "setxattr",   "getxattr",    "listxattr",
-    "removexattr","getuid",    "geteuid",    "getgid",      "getegid",
-    "getgroups",  "setuid",    "setgid",     "setresuid",   "setresgid",
-    "seteuid",    "setegid",   "setgroups",  "unshare",     "userns_auto_map",
-    "mount",      "umount",
-};
-
-template <typename R>
-Err error_of(const R& r) {
-  return r.ok() ? Err::none : r.error();
-}
-
-}  // namespace
-
 ObserveSyscalls::ObserveSyscalls(std::shared_ptr<Syscalls> inner,
                                  obs::MetricsRegistry* metrics,
                                  obs::FlightRecorder* recorder)
-    : SyscallFilter(std::move(inner)),
+    : SyscallFilter(std::move(inner), OpMask{}, OpMask{}.set()),
       metrics_(metrics != nullptr ? metrics : &obs::global_metrics()),
       recorder_(recorder != nullptr ? recorder
                                     : &obs::global_flight_recorder()),
       calls_(&metrics_->counter("syscall.calls")),
       errors_(&metrics_->counter("syscall.errors")),
       latency_(&metrics_->histogram("syscall.latency_us")) {
-  for (const char* op : kOpNames) {
-    const std::string name(op);
-    OpCounters c;
-    c.calls = &metrics_->counter("syscall." + name + ".calls");
-    c.errors = &metrics_->counter("syscall." + name + ".errors");
-    ops_.emplace(name, c);
+  // Ops sharing a name (the three /proc writes, ...) share its counters.
+  for (std::size_t i = 0; i < kSysOpCount; ++i) {
+    const std::string name(kSysOpNames[i]);
+    ops_[i].calls = &metrics_->counter("syscall." + name + ".calls");
+    ops_[i].errors = &metrics_->counter("syscall." + name + ".errors");
   }
 }
 
-namespace {
-// Placeholder for operations with no path argument (identity calls).
-const std::string kNoPath;
-}  // namespace
-
-void ObserveSyscalls::note(const char* op, Err e,
-                           std::chrono::steady_clock::time_point start,
-                           const std::string& path) {
-  const auto elapsed = std::chrono::steady_clock::now() - start;
+void ObserveSyscalls::after(SysOp op, Err e, const std::string& detail,
+                            Clock::time_point start) {
+  const auto elapsed = Clock::now() - start;
   calls_->add();
   latency_->observe(
       std::chrono::duration<double, std::micro>(elapsed).count());
-  const auto it = ops_.find(op);
-  if (it != ops_.end()) it->second.calls->add();
+  const OpCounters& c = ops_[static_cast<std::size_t>(op)];
+  c.calls->add();
   if (e != Err::none) {
     errors_->add();
-    if (it != ops_.end()) it->second.errors->add();
+    c.errors->add();
     // Error paths are cold; the shard-locked lookup is fine here.
     metrics_->counter("syscall.errno." + std::string(err_name(e))).add();
     if (recorder_->enabled()) {
-      recorder_->record_error(obs::FlightKind::kSyscallError, op, err_name(e),
-                              path, err_value(e));
+      recorder_->record_error(obs::FlightKind::kSyscallError, sysop_name(op),
+                              err_name(e), detail, err_value(e));
     }
   }
 }
-
-// Forward through the filter base, timing the inner call and recording the
-// observed outcome.
-#define MINICON_OBSERVE(op, path, call)                \
-  const auto t0 = std::chrono::steady_clock::now();    \
-  auto r = SyscallFilter::call;                        \
-  note(op, error_of(r), t0, path);                     \
-  return r
-
-Result<vfs::Stat> ObserveSyscalls::stat(Process& p, const std::string& path) {
-  MINICON_OBSERVE("stat", path, stat(p, path));
-}
-Result<vfs::Stat> ObserveSyscalls::lstat(Process& p, const std::string& path) {
-  MINICON_OBSERVE("lstat", path, lstat(p, path));
-}
-Result<std::string> ObserveSyscalls::read_file(Process& p,
-                                               const std::string& path) {
-  MINICON_OBSERVE("read", path, read_file(p, path));
-}
-VoidResult ObserveSyscalls::write_file(Process& p, const std::string& path,
-                                       std::string data, bool append,
-                                       std::uint32_t create_mode) {
-  MINICON_OBSERVE("write", path,
-                  write_file(p, path, std::move(data), append, create_mode));
-}
-Result<std::vector<vfs::DirEntry>> ObserveSyscalls::readdir(
-    Process& p, const std::string& path) {
-  MINICON_OBSERVE("readdir", path, readdir(p, path));
-}
-Result<std::string> ObserveSyscalls::readlink(Process& p,
-                                              const std::string& path) {
-  MINICON_OBSERVE("readlink", path, readlink(p, path));
-}
-VoidResult ObserveSyscalls::mkdir(Process& p, const std::string& path,
-                                  std::uint32_t mode) {
-  MINICON_OBSERVE("mkdir", path, mkdir(p, path, mode));
-}
-VoidResult ObserveSyscalls::mknod(Process& p, const std::string& path,
-                                  vfs::FileType type, std::uint32_t mode,
-                                  std::uint32_t dev_major,
-                                  std::uint32_t dev_minor) {
-  MINICON_OBSERVE("mknod", path, mknod(p, path, type, mode, dev_major, dev_minor));
-}
-VoidResult ObserveSyscalls::symlink(Process& p, const std::string& target,
-                                    const std::string& linkpath) {
-  MINICON_OBSERVE("symlink", linkpath, symlink(p, target, linkpath));
-}
-VoidResult ObserveSyscalls::link(Process& p, const std::string& oldpath,
-                                 const std::string& newpath) {
-  MINICON_OBSERVE("link", newpath, link(p, oldpath, newpath));
-}
-VoidResult ObserveSyscalls::unlink(Process& p, const std::string& path) {
-  MINICON_OBSERVE("unlink", path, unlink(p, path));
-}
-VoidResult ObserveSyscalls::rmdir(Process& p, const std::string& path) {
-  MINICON_OBSERVE("rmdir", path, rmdir(p, path));
-}
-VoidResult ObserveSyscalls::rename(Process& p, const std::string& oldpath,
-                                   const std::string& newpath) {
-  MINICON_OBSERVE("rename", oldpath, rename(p, oldpath, newpath));
-}
-VoidResult ObserveSyscalls::chown(Process& p, const std::string& path, Uid uid,
-                                  Gid gid, bool follow) {
-  MINICON_OBSERVE("chown", path, chown(p, path, uid, gid, follow));
-}
-VoidResult ObserveSyscalls::chmod(Process& p, const std::string& path,
-                                  std::uint32_t mode) {
-  MINICON_OBSERVE("chmod", path, chmod(p, path, mode));
-}
-VoidResult ObserveSyscalls::access(Process& p, const std::string& path,
-                                   int mask) {
-  MINICON_OBSERVE("access", path, access(p, path, mask));
-}
-VoidResult ObserveSyscalls::chdir(Process& p, const std::string& path) {
-  MINICON_OBSERVE("chdir", path, chdir(p, path));
-}
-
-VoidResult ObserveSyscalls::set_xattr(Process& p, const std::string& path,
-                                      const std::string& name,
-                                      const std::string& value) {
-  MINICON_OBSERVE("setxattr", path, set_xattr(p, path, name, value));
-}
-Result<std::string> ObserveSyscalls::get_xattr(Process& p,
-                                               const std::string& path,
-                                               const std::string& name) {
-  MINICON_OBSERVE("getxattr", path, get_xattr(p, path, name));
-}
-Result<std::vector<std::string>> ObserveSyscalls::list_xattrs(
-    Process& p, const std::string& path) {
-  MINICON_OBSERVE("listxattr", path, list_xattrs(p, path));
-}
-VoidResult ObserveSyscalls::remove_xattr(Process& p, const std::string& path,
-                                         const std::string& name) {
-  MINICON_OBSERVE("removexattr", path, remove_xattr(p, path, name));
-}
-
-Uid ObserveSyscalls::getuid(Process& p) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const Uid r = SyscallFilter::getuid(p);
-  note("getuid", Err::none, t0, kNoPath);
-  return r;
-}
-Uid ObserveSyscalls::geteuid(Process& p) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const Uid r = SyscallFilter::geteuid(p);
-  note("geteuid", Err::none, t0, kNoPath);
-  return r;
-}
-Gid ObserveSyscalls::getgid(Process& p) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const Gid r = SyscallFilter::getgid(p);
-  note("getgid", Err::none, t0, kNoPath);
-  return r;
-}
-Gid ObserveSyscalls::getegid(Process& p) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const Gid r = SyscallFilter::getegid(p);
-  note("getegid", Err::none, t0, kNoPath);
-  return r;
-}
-std::vector<Gid> ObserveSyscalls::getgroups(Process& p) {
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<Gid> r = SyscallFilter::getgroups(p);
-  note("getgroups", Err::none, t0, kNoPath);
-  return r;
-}
-VoidResult ObserveSyscalls::setuid(Process& p, Uid uid) {
-  MINICON_OBSERVE("setuid", kNoPath, setuid(p, uid));
-}
-VoidResult ObserveSyscalls::setgid(Process& p, Gid gid) {
-  MINICON_OBSERVE("setgid", kNoPath, setgid(p, gid));
-}
-VoidResult ObserveSyscalls::setresuid(Process& p, Uid ru, Uid eu, Uid su) {
-  MINICON_OBSERVE("setresuid", kNoPath, setresuid(p, ru, eu, su));
-}
-VoidResult ObserveSyscalls::setresgid(Process& p, Gid rg, Gid eg, Gid sg) {
-  MINICON_OBSERVE("setresgid", kNoPath, setresgid(p, rg, eg, sg));
-}
-VoidResult ObserveSyscalls::seteuid(Process& p, Uid e) {
-  MINICON_OBSERVE("seteuid", kNoPath, seteuid(p, e));
-}
-VoidResult ObserveSyscalls::setegid(Process& p, Gid e) {
-  MINICON_OBSERVE("setegid", kNoPath, setegid(p, e));
-}
-VoidResult ObserveSyscalls::setgroups(Process& p,
-                                      const std::vector<Gid>& groups) {
-  MINICON_OBSERVE("setgroups", kNoPath, setgroups(p, groups));
-}
-
-VoidResult ObserveSyscalls::unshare_userns(Process& p) {
-  MINICON_OBSERVE("unshare", kNoPath, unshare_userns(p));
-}
-VoidResult ObserveSyscalls::unshare_mountns(Process& p) {
-  MINICON_OBSERVE("unshare", kNoPath, unshare_mountns(p));
-}
-VoidResult ObserveSyscalls::write_uid_map(Process& writer,
-                                          const UserNsPtr& target, IdMap map) {
-  MINICON_OBSERVE("write", kNoPath, write_uid_map(writer, target, std::move(map)));
-}
-VoidResult ObserveSyscalls::write_gid_map(Process& writer,
-                                          const UserNsPtr& target, IdMap map) {
-  MINICON_OBSERVE("write", kNoPath, write_gid_map(writer, target, std::move(map)));
-}
-VoidResult ObserveSyscalls::write_setgroups(
-    Process& writer, const UserNsPtr& target,
-    UserNamespace::SetgroupsPolicy policy) {
-  MINICON_OBSERVE("write", kNoPath, write_setgroups(writer, target, policy));
-}
-VoidResult ObserveSyscalls::userns_auto_map(Process& p) {
-  MINICON_OBSERVE("userns_auto_map", kNoPath, userns_auto_map(p));
-}
-VoidResult ObserveSyscalls::mount(Process& p, Mount m) {
-  // Copy before the macro body moves `m` into the inner call.
-  const std::string where = m.mountpoint;
-  MINICON_OBSERVE("mount", where, mount(p, std::move(m)));
-}
-VoidResult ObserveSyscalls::umount(Process& p, const std::string& mountpoint) {
-  MINICON_OBSERVE("umount", mountpoint, umount(p, mountpoint));
-}
-VoidResult ObserveSyscalls::bind_mount(Process& p, const std::string& src,
-                                       const std::string& dst,
-                                       bool read_only) {
-  MINICON_OBSERVE("mount", dst, bind_mount(p, src, dst, read_only));
-}
-
-Result<Loc> ObserveSyscalls::resolve(Process& p, const std::string& path,
-                                     bool follow_last) {
-  // Internal helper, not a syscall; pass through silently (as TraceSyscalls
-  // does) so counters reflect what a real strace would see.
-  return SyscallFilter::resolve(p, path, follow_last);
-}
-
-#undef MINICON_OBSERVE
 
 }  // namespace minicon::kernel

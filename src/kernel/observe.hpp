@@ -12,13 +12,13 @@
 //
 // Metric names: `syscall.calls`, `syscall.errors`, `syscall.<op>.calls`,
 // `syscall.<op>.errors`, `syscall.errno.<ERRNAME>`, and the histogram
-// `syscall.latency_us`. Per-op counters are pre-registered at construction
-// so the hot path touches only relaxed atomics.
+// `syscall.latency_us`. Per-op counters are pre-registered at construction,
+// one slot per SysOp, so the hot path touches only relaxed atomics. The
+// layer sees every op (after-mask = all) and overrides no Syscalls method.
 #pragma once
 
-#include <chrono>
+#include <array>
 #include <string>
-#include <unordered_map>
 
 #include "kernel/syscall_filter.hpp"
 #include "obs/flightrec.hpp"
@@ -39,82 +39,14 @@ class ObserveSyscalls : public SyscallFilter {
 
   obs::MetricsRegistry& metrics() const { return *metrics_; }
 
-  Result<vfs::Stat> stat(Process& p, const std::string& path) override;
-  Result<vfs::Stat> lstat(Process& p, const std::string& path) override;
-  Result<std::string> read_file(Process& p, const std::string& path) override;
-  VoidResult write_file(Process& p, const std::string& path, std::string data,
-                        bool append, std::uint32_t create_mode) override;
-  Result<std::vector<vfs::DirEntry>> readdir(Process& p,
-                                             const std::string& path) override;
-  Result<std::string> readlink(Process& p, const std::string& path) override;
-  VoidResult mkdir(Process& p, const std::string& path,
-                   std::uint32_t mode) override;
-  VoidResult mknod(Process& p, const std::string& path, vfs::FileType type,
-                   std::uint32_t mode, std::uint32_t dev_major,
-                   std::uint32_t dev_minor) override;
-  VoidResult symlink(Process& p, const std::string& target,
-                     const std::string& linkpath) override;
-  VoidResult link(Process& p, const std::string& oldpath,
-                  const std::string& newpath) override;
-  VoidResult unlink(Process& p, const std::string& path) override;
-  VoidResult rmdir(Process& p, const std::string& path) override;
-  VoidResult rename(Process& p, const std::string& oldpath,
-                    const std::string& newpath) override;
-  VoidResult chown(Process& p, const std::string& path, Uid uid, Gid gid,
-                   bool follow) override;
-  VoidResult chmod(Process& p, const std::string& path,
-                   std::uint32_t mode) override;
-  VoidResult access(Process& p, const std::string& path, int mask) override;
-  VoidResult chdir(Process& p, const std::string& path) override;
-
-  VoidResult set_xattr(Process& p, const std::string& path,
-                       const std::string& name,
-                       const std::string& value) override;
-  Result<std::string> get_xattr(Process& p, const std::string& path,
-                                const std::string& name) override;
-  Result<std::vector<std::string>> list_xattrs(
-      Process& p, const std::string& path) override;
-  VoidResult remove_xattr(Process& p, const std::string& path,
-                          const std::string& name) override;
-
-  Uid getuid(Process& p) override;
-  Uid geteuid(Process& p) override;
-  Gid getgid(Process& p) override;
-  Gid getegid(Process& p) override;
-  std::vector<Gid> getgroups(Process& p) override;
-  VoidResult setuid(Process& p, Uid uid) override;
-  VoidResult setgid(Process& p, Gid gid) override;
-  VoidResult setresuid(Process& p, Uid r, Uid e, Uid s) override;
-  VoidResult setresgid(Process& p, Gid r, Gid e, Gid s) override;
-  VoidResult seteuid(Process& p, Uid e) override;
-  VoidResult setegid(Process& p, Gid e) override;
-  VoidResult setgroups(Process& p, const std::vector<Gid>& groups) override;
-
-  VoidResult unshare_userns(Process& p) override;
-  VoidResult unshare_mountns(Process& p) override;
-  VoidResult write_uid_map(Process& writer, const UserNsPtr& target,
-                           IdMap map) override;
-  VoidResult write_gid_map(Process& writer, const UserNsPtr& target,
-                           IdMap map) override;
-  VoidResult write_setgroups(Process& writer, const UserNsPtr& target,
-                             UserNamespace::SetgroupsPolicy policy) override;
-  VoidResult userns_auto_map(Process& p) override;
-  VoidResult mount(Process& p, Mount m) override;
-  VoidResult umount(Process& p, const std::string& mountpoint) override;
-  VoidResult bind_mount(Process& p, const std::string& src,
-                        const std::string& dst, bool read_only) override;
-
-  Result<Loc> resolve(Process& p, const std::string& path,
-                      bool follow_last) override;
-
  private:
   struct OpCounters {
     obs::Counter* calls = nullptr;
     obs::Counter* errors = nullptr;
   };
 
-  void note(const char* op, Err e, std::chrono::steady_clock::time_point start,
-            const std::string& path);
+  void after(SysOp op, Err e, const std::string& detail,
+             Clock::time_point start) override;
 
   obs::MetricsRegistry* metrics_;
   obs::FlightRecorder* recorder_;
@@ -122,7 +54,7 @@ class ObserveSyscalls : public SyscallFilter {
   obs::Counter* errors_;
   obs::Histogram* latency_;
   // Immutable after construction: lock-free per-op lookup on the hot path.
-  std::unordered_map<std::string, OpCounters> ops_;
+  std::array<OpCounters, kSysOpCount> ops_;
 };
 
 }  // namespace minicon::kernel

@@ -68,213 +68,21 @@ std::string SyscallStats::errno_summary(const Totals& before,
 
 TraceSyscalls::TraceSyscalls(std::shared_ptr<Syscalls> inner,
                              SyscallStatsPtr stats, TraceOptions options)
-    : SyscallFilter(std::move(inner)),
+    : SyscallFilter(std::move(inner), OpMask{}, OpMask{}.set()),
       stats_(std::move(stats)),
       options_(options) {
   if (stats_ == nullptr) stats_ = std::make_shared<SyscallStats>();
 }
 
-void TraceSyscalls::note(const char* op, const std::string& detail, Err e) {
-  stats_->record(op, e);
+void TraceSyscalls::after(SysOp op, Err e, const std::string& detail,
+                          Clock::time_point /*start*/) {
+  const char* name = sysop_name(op);
+  stats_->record(name, e);
   if (options_.transcript == nullptr) return;
   if (e == Err::none && !options_.log_success) return;
-  std::string line = std::string(op) + "(\"" + detail + "\")";
+  std::string line = std::string(name) + "(\"" + detail + "\")";
   line += e == Err::none ? " = 0" : " = -1 " + std::string(err_name(e));
   options_.transcript->line(std::move(line));
 }
-
-namespace {
-
-// Extracts the errno from Result<T>/VoidResult uniformly.
-template <typename R>
-Err error_of(const R& r) {
-  return r.ok() ? Err::none : r.error();
-}
-
-}  // namespace
-
-// Forward through the filter base, then record the observed outcome.
-#define MINICON_TRACE(op, detail, call) \
-  auto r = SyscallFilter::call;         \
-  note(op, detail, error_of(r));        \
-  return r
-
-Result<vfs::Stat> TraceSyscalls::stat(Process& p, const std::string& path) {
-  MINICON_TRACE("stat", path, stat(p, path));
-}
-Result<vfs::Stat> TraceSyscalls::lstat(Process& p, const std::string& path) {
-  MINICON_TRACE("lstat", path, lstat(p, path));
-}
-Result<std::string> TraceSyscalls::read_file(Process& p,
-                                             const std::string& path) {
-  MINICON_TRACE("read", path, read_file(p, path));
-}
-VoidResult TraceSyscalls::write_file(Process& p, const std::string& path,
-                                     std::string data, bool append,
-                                     std::uint32_t create_mode) {
-  MINICON_TRACE("write", path,
-                write_file(p, path, std::move(data), append, create_mode));
-}
-Result<std::vector<vfs::DirEntry>> TraceSyscalls::readdir(
-    Process& p, const std::string& path) {
-  MINICON_TRACE("readdir", path, readdir(p, path));
-}
-Result<std::string> TraceSyscalls::readlink(Process& p,
-                                            const std::string& path) {
-  MINICON_TRACE("readlink", path, readlink(p, path));
-}
-VoidResult TraceSyscalls::mkdir(Process& p, const std::string& path,
-                                std::uint32_t mode) {
-  MINICON_TRACE("mkdir", path, mkdir(p, path, mode));
-}
-VoidResult TraceSyscalls::mknod(Process& p, const std::string& path,
-                                vfs::FileType type, std::uint32_t mode,
-                                std::uint32_t dev_major,
-                                std::uint32_t dev_minor) {
-  MINICON_TRACE("mknod", path,
-                mknod(p, path, type, mode, dev_major, dev_minor));
-}
-VoidResult TraceSyscalls::symlink(Process& p, const std::string& target,
-                                  const std::string& linkpath) {
-  MINICON_TRACE("symlink", linkpath, symlink(p, target, linkpath));
-}
-VoidResult TraceSyscalls::link(Process& p, const std::string& oldpath,
-                               const std::string& newpath) {
-  MINICON_TRACE("link", newpath, link(p, oldpath, newpath));
-}
-VoidResult TraceSyscalls::unlink(Process& p, const std::string& path) {
-  MINICON_TRACE("unlink", path, unlink(p, path));
-}
-VoidResult TraceSyscalls::rmdir(Process& p, const std::string& path) {
-  MINICON_TRACE("rmdir", path, rmdir(p, path));
-}
-VoidResult TraceSyscalls::rename(Process& p, const std::string& oldpath,
-                                 const std::string& newpath) {
-  MINICON_TRACE("rename", oldpath, rename(p, oldpath, newpath));
-}
-VoidResult TraceSyscalls::chown(Process& p, const std::string& path, Uid uid,
-                                Gid gid, bool follow) {
-  MINICON_TRACE("chown", path, chown(p, path, uid, gid, follow));
-}
-VoidResult TraceSyscalls::chmod(Process& p, const std::string& path,
-                                std::uint32_t mode) {
-  MINICON_TRACE("chmod", path, chmod(p, path, mode));
-}
-VoidResult TraceSyscalls::access(Process& p, const std::string& path,
-                                 int mask) {
-  MINICON_TRACE("access", path, access(p, path, mask));
-}
-VoidResult TraceSyscalls::chdir(Process& p, const std::string& path) {
-  MINICON_TRACE("chdir", path, chdir(p, path));
-}
-
-VoidResult TraceSyscalls::set_xattr(Process& p, const std::string& path,
-                                    const std::string& name,
-                                    const std::string& value) {
-  MINICON_TRACE("setxattr", path, set_xattr(p, path, name, value));
-}
-Result<std::string> TraceSyscalls::get_xattr(Process& p,
-                                             const std::string& path,
-                                             const std::string& name) {
-  MINICON_TRACE("getxattr", path, get_xattr(p, path, name));
-}
-Result<std::vector<std::string>> TraceSyscalls::list_xattrs(
-    Process& p, const std::string& path) {
-  MINICON_TRACE("listxattr", path, list_xattrs(p, path));
-}
-VoidResult TraceSyscalls::remove_xattr(Process& p, const std::string& path,
-                                       const std::string& name) {
-  MINICON_TRACE("removexattr", path, remove_xattr(p, path, name));
-}
-
-Uid TraceSyscalls::getuid(Process& p) {
-  note("getuid", "", Err::none);
-  return SyscallFilter::getuid(p);
-}
-Uid TraceSyscalls::geteuid(Process& p) {
-  note("geteuid", "", Err::none);
-  return SyscallFilter::geteuid(p);
-}
-Gid TraceSyscalls::getgid(Process& p) {
-  note("getgid", "", Err::none);
-  return SyscallFilter::getgid(p);
-}
-Gid TraceSyscalls::getegid(Process& p) {
-  note("getegid", "", Err::none);
-  return SyscallFilter::getegid(p);
-}
-std::vector<Gid> TraceSyscalls::getgroups(Process& p) {
-  note("getgroups", "", Err::none);
-  return SyscallFilter::getgroups(p);
-}
-VoidResult TraceSyscalls::setuid(Process& p, Uid uid) {
-  MINICON_TRACE("setuid", std::to_string(uid), setuid(p, uid));
-}
-VoidResult TraceSyscalls::setgid(Process& p, Gid gid) {
-  MINICON_TRACE("setgid", std::to_string(gid), setgid(p, gid));
-}
-VoidResult TraceSyscalls::setresuid(Process& p, Uid ru, Uid eu, Uid su) {
-  MINICON_TRACE("setresuid", std::to_string(eu), setresuid(p, ru, eu, su));
-}
-VoidResult TraceSyscalls::setresgid(Process& p, Gid rg, Gid eg, Gid sg) {
-  MINICON_TRACE("setresgid", std::to_string(eg), setresgid(p, rg, eg, sg));
-}
-VoidResult TraceSyscalls::seteuid(Process& p, Uid e) {
-  MINICON_TRACE("seteuid", std::to_string(e), seteuid(p, e));
-}
-VoidResult TraceSyscalls::setegid(Process& p, Gid e) {
-  MINICON_TRACE("setegid", std::to_string(e), setegid(p, e));
-}
-VoidResult TraceSyscalls::setgroups(Process& p,
-                                    const std::vector<Gid>& groups) {
-  MINICON_TRACE("setgroups", std::to_string(groups.size()),
-                setgroups(p, groups));
-}
-
-VoidResult TraceSyscalls::unshare_userns(Process& p) {
-  MINICON_TRACE("unshare", "CLONE_NEWUSER", unshare_userns(p));
-}
-VoidResult TraceSyscalls::unshare_mountns(Process& p) {
-  MINICON_TRACE("unshare", "CLONE_NEWNS", unshare_mountns(p));
-}
-VoidResult TraceSyscalls::write_uid_map(Process& writer,
-                                        const UserNsPtr& target, IdMap map) {
-  MINICON_TRACE("write", "/proc/self/uid_map",
-                write_uid_map(writer, target, std::move(map)));
-}
-VoidResult TraceSyscalls::write_gid_map(Process& writer,
-                                        const UserNsPtr& target, IdMap map) {
-  MINICON_TRACE("write", "/proc/self/gid_map",
-                write_gid_map(writer, target, std::move(map)));
-}
-VoidResult TraceSyscalls::write_setgroups(
-    Process& writer, const UserNsPtr& target,
-    UserNamespace::SetgroupsPolicy policy) {
-  MINICON_TRACE("write", "/proc/self/setgroups",
-                write_setgroups(writer, target, policy));
-}
-VoidResult TraceSyscalls::userns_auto_map(Process& p) {
-  MINICON_TRACE("userns_auto_map", "", userns_auto_map(p));
-}
-VoidResult TraceSyscalls::mount(Process& p, Mount m) {
-  const std::string where = m.mountpoint;
-  MINICON_TRACE("mount", where, mount(p, std::move(m)));
-}
-VoidResult TraceSyscalls::umount(Process& p, const std::string& mountpoint) {
-  MINICON_TRACE("umount", mountpoint, umount(p, mountpoint));
-}
-VoidResult TraceSyscalls::bind_mount(Process& p, const std::string& src,
-                                     const std::string& dst, bool read_only) {
-  MINICON_TRACE("mount", dst, bind_mount(p, src, dst, read_only));
-}
-
-Result<Loc> TraceSyscalls::resolve(Process& p, const std::string& path,
-                                   bool follow_last) {
-  // resolve() is an internal helper, not a syscall; pass through silently so
-  // counters reflect what a real strace would see.
-  return SyscallFilter::resolve(p, path, follow_last);
-}
-
-#undef MINICON_TRACE
 
 }  // namespace minicon::kernel

@@ -5,7 +5,8 @@
 // optionally be echoed, strace(1)-style, to a Transcript. Builders stack one
 // of these under fakeroot so that "fakeroot adds a layer of indirection"
 // (§6.1-1) becomes a measured number: per-RUN-instruction syscall counts and
-// the interposition depth the call traversed.
+// the interposition depth the call traversed. The layer sees every op
+// (after-mask = all), under its SysOp name, and overrides no Syscalls method.
 #pragma once
 
 #include <cstdint>
@@ -71,76 +72,9 @@ class TraceSyscalls : public SyscallFilter {
 
   const SyscallStatsPtr& stats() const { return stats_; }
 
-  Result<vfs::Stat> stat(Process& p, const std::string& path) override;
-  Result<vfs::Stat> lstat(Process& p, const std::string& path) override;
-  Result<std::string> read_file(Process& p, const std::string& path) override;
-  VoidResult write_file(Process& p, const std::string& path, std::string data,
-                        bool append, std::uint32_t create_mode) override;
-  Result<std::vector<vfs::DirEntry>> readdir(Process& p,
-                                             const std::string& path) override;
-  Result<std::string> readlink(Process& p, const std::string& path) override;
-  VoidResult mkdir(Process& p, const std::string& path,
-                   std::uint32_t mode) override;
-  VoidResult mknod(Process& p, const std::string& path, vfs::FileType type,
-                   std::uint32_t mode, std::uint32_t dev_major,
-                   std::uint32_t dev_minor) override;
-  VoidResult symlink(Process& p, const std::string& target,
-                     const std::string& linkpath) override;
-  VoidResult link(Process& p, const std::string& oldpath,
-                  const std::string& newpath) override;
-  VoidResult unlink(Process& p, const std::string& path) override;
-  VoidResult rmdir(Process& p, const std::string& path) override;
-  VoidResult rename(Process& p, const std::string& oldpath,
-                    const std::string& newpath) override;
-  VoidResult chown(Process& p, const std::string& path, Uid uid, Gid gid,
-                   bool follow) override;
-  VoidResult chmod(Process& p, const std::string& path,
-                   std::uint32_t mode) override;
-  VoidResult access(Process& p, const std::string& path, int mask) override;
-  VoidResult chdir(Process& p, const std::string& path) override;
-
-  VoidResult set_xattr(Process& p, const std::string& path,
-                       const std::string& name,
-                       const std::string& value) override;
-  Result<std::string> get_xattr(Process& p, const std::string& path,
-                                const std::string& name) override;
-  Result<std::vector<std::string>> list_xattrs(
-      Process& p, const std::string& path) override;
-  VoidResult remove_xattr(Process& p, const std::string& path,
-                          const std::string& name) override;
-
-  Uid getuid(Process& p) override;
-  Uid geteuid(Process& p) override;
-  Gid getgid(Process& p) override;
-  Gid getegid(Process& p) override;
-  std::vector<Gid> getgroups(Process& p) override;
-  VoidResult setuid(Process& p, Uid uid) override;
-  VoidResult setgid(Process& p, Gid gid) override;
-  VoidResult setresuid(Process& p, Uid r, Uid e, Uid s) override;
-  VoidResult setresgid(Process& p, Gid r, Gid e, Gid s) override;
-  VoidResult seteuid(Process& p, Uid e) override;
-  VoidResult setegid(Process& p, Gid e) override;
-  VoidResult setgroups(Process& p, const std::vector<Gid>& groups) override;
-
-  VoidResult unshare_userns(Process& p) override;
-  VoidResult unshare_mountns(Process& p) override;
-  VoidResult write_uid_map(Process& writer, const UserNsPtr& target,
-                           IdMap map) override;
-  VoidResult write_gid_map(Process& writer, const UserNsPtr& target,
-                           IdMap map) override;
-  VoidResult write_setgroups(Process& writer, const UserNsPtr& target,
-                             UserNamespace::SetgroupsPolicy policy) override;
-  VoidResult userns_auto_map(Process& p) override;
-  VoidResult mount(Process& p, Mount m) override;
-  VoidResult umount(Process& p, const std::string& mountpoint) override;
-  VoidResult bind_mount(Process& p, const std::string& src,
-                        const std::string& dst, bool read_only) override;
-
-  Result<Loc> resolve(Process& p, const std::string& path,
-                      bool follow_last) override;
-
  private:
-  void note(const char* op, const std::string& detail, Err e);
+  void after(SysOp op, Err e, const std::string& detail,
+             Clock::time_point start) override;
 
   SyscallStatsPtr stats_;
   TraceOptions options_;

@@ -278,20 +278,25 @@ Result<std::string> RegistryService::put_manifest(const std::string& tenant,
     e.epoch = entry.epoch;
     e.size = entry.chunk_sizes[i];
   }
+  // A sweep may have reclaimed a blob or a chunk between materialization
+  // and the ref-take. A non-tree layer the registry no longer holds counts
+  // as missing: the chunks it named may be shared with other pushes and
+  // still present, so the chunk check below would not notice. Presence is
+  // re-checked and repaired exactly once; a repair that still cannot
+  // materialize (the source itself was swept) rolls everything back — the
+  // ENOENT tells the caller to re-push, the same answer a real registry
+  // gives a manifest PUT for an expired upload.
+  bool missing = false;
   {
     std::lock_guard lock(blobs_mu_);
     for (const std::string& layer : entry.manifest.layers) {
       auto it = blobs_.find(layer);
       if (it != blobs_.end()) ++it->second.refs;
+      if (!image::Registry::is_tree_digest(layer) && !reg_.has_blob(layer)) {
+        missing = true;
+      }
     }
   }
-
-  // A sweep may have reclaimed a chunk between materialization and the
-  // ref-take above. Presence is re-checked and repaired exactly once; a
-  // repair that still cannot materialize (the source itself was swept)
-  // rolls everything back — the ENOENT tells the caller to re-push, the
-  // same answer a real registry gives a manifest PUT for an expired upload.
-  bool missing = false;
   for (const std::string& d : entry.chunks) {
     if (!reg_.chunks().has_chunk(d)) {
       missing = true;
@@ -662,22 +667,23 @@ GcStats RegistryService::run_gc() {
   cycle.reclaimed_manifests = dead_manifests.size();
 
   // Blob-record sweep: forget chunked-blob indexes nothing references. The
-  // chunk data itself falls to the chunk sweep below; a re-push of the same
-  // content rebuilds the record bit-for-bit.
-  std::vector<std::string> dead_blobs;
+  // registry's chunked record is dropped under the same blobs_mu_ hold, so a
+  // put_manifest that finds no service record also finds no registry blob
+  // and reports the layer missing. The chunk data itself falls to the chunk
+  // sweep below; a re-push of the same content rebuilds the record
+  // bit-for-bit.
   {
     std::lock_guard lock(blobs_mu_);
     for (auto it = blobs_.begin(); it != blobs_.end();) {
       if (it->second.refs == 0 && it->second.epoch < cutoff) {
-        dead_blobs.push_back(it->first);
+        reg_.drop_chunked(it->first);
+        ++cycle.reclaimed_blobs;
         it = blobs_.erase(it);
       } else {
         ++it;
       }
     }
   }
-  for (const std::string& d : dead_blobs) reg_.drop_chunked(d);
-  cycle.reclaimed_blobs = dead_blobs.size();
 
   // Chunk sweep: unreferenced, out of grace, and not marked by any
   // registry-level tag. The store removal happens under the service shard

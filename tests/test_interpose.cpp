@@ -3,14 +3,22 @@
 // when a fault fires mid-build.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <set>
+#include <stdexcept>
+
 #include "core/chimage.hpp"
 #include "core/cluster.hpp"
 #include "core/podman.hpp"
 #include "kernel/faultinject.hpp"
 #include "kernel/kernel.hpp"
+#include "kernel/observe.hpp"
 #include "kernel/syscall_filter.hpp"
 #include "kernel/syscalls.hpp"
 #include "kernel/trace.hpp"
+#include "obs/flightrec.hpp"
+#include "obs/metrics.hpp"
+#include "support/transcript.hpp"
 #include "vfs/memfs.hpp"
 
 namespace minicon {
@@ -21,6 +29,7 @@ using kernel::FaultSpec;
 using kernel::Process;
 using kernel::SyscallFilter;
 using kernel::SyscallStats;
+using kernel::SysOp;
 using kernel::TraceSyscalls;
 
 class InterposeTest : public ::testing::Test {
@@ -214,6 +223,195 @@ TEST_F(InterposeTest, TraceObservesInjectedErrnos) {
   Process p = proc(traced);
   EXPECT_EQ(p.sys->write_file(p, "/f", "x", false, 0644).error(), Err::enospc);
   EXPECT_EQ(stats->errno_count(Err::enospc), 1u);
+}
+
+// --- the op table ------------------------------------------------------------
+
+// One row per SysOp: the name every hook layer has always used for it, and a
+// call that reaches it through a process's stack.
+struct OpCase {
+  SysOp op;
+  const char* name;
+  std::function<void(Process&)> call;
+};
+
+std::vector<OpCase> every_op() {
+  auto mnt = [](Process& p) {
+    kernel::Mount m;
+    m.mountpoint = "/mnt";
+    m.fs = std::make_shared<vfs::MemFs>(0755);
+    m.owner_ns = p.userns;
+    return m;
+  };
+  return {
+      {SysOp::kStat, "stat", [](Process& p) { (void)p.sys->stat(p, "/f"); }},
+      {SysOp::kLstat, "lstat", [](Process& p) { (void)p.sys->lstat(p, "/f"); }},
+      {SysOp::kReadFile, "read",
+       [](Process& p) { (void)p.sys->read_file(p, "/f"); }},
+      {SysOp::kWriteFile, "write",
+       [](Process& p) { (void)p.sys->write_file(p, "/g", "x", false, 0644); }},
+      {SysOp::kReaddir, "readdir",
+       [](Process& p) { (void)p.sys->readdir(p, "/"); }},
+      {SysOp::kReadlink, "readlink",
+       [](Process& p) { (void)p.sys->readlink(p, "/f"); }},
+      {SysOp::kMkdir, "mkdir",
+       [](Process& p) { (void)p.sys->mkdir(p, "/d", 0755); }},
+      {SysOp::kMknod, "mknod",
+       [](Process& p) {
+         (void)p.sys->mknod(p, "/fifo", vfs::FileType::Fifo, 0644, 0, 0);
+       }},
+      {SysOp::kSymlink, "symlink",
+       [](Process& p) { (void)p.sys->symlink(p, "/f", "/s"); }},
+      {SysOp::kLink, "link",
+       [](Process& p) { (void)p.sys->link(p, "/f", "/h"); }},
+      {SysOp::kUnlink, "unlink",
+       [](Process& p) { (void)p.sys->unlink(p, "/h"); }},
+      {SysOp::kRmdir, "rmdir", [](Process& p) { (void)p.sys->rmdir(p, "/d"); }},
+      {SysOp::kRename, "rename",
+       [](Process& p) { (void)p.sys->rename(p, "/g", "/g2"); }},
+      {SysOp::kChown, "chown",
+       [](Process& p) { (void)p.sys->chown(p, "/f", 0, 0, true); }},
+      {SysOp::kChmod, "chmod",
+       [](Process& p) { (void)p.sys->chmod(p, "/f", 0644); }},
+      {SysOp::kAccess, "access",
+       [](Process& p) { (void)p.sys->access(p, "/f", kernel::kReadOk); }},
+      {SysOp::kChdir, "chdir", [](Process& p) { (void)p.sys->chdir(p, "/"); }},
+      {SysOp::kSetXattr, "setxattr",
+       [](Process& p) { (void)p.sys->set_xattr(p, "/f", "user.k", "v"); }},
+      {SysOp::kGetXattr, "getxattr",
+       [](Process& p) { (void)p.sys->get_xattr(p, "/f", "user.k"); }},
+      {SysOp::kListXattrs, "listxattr",
+       [](Process& p) { (void)p.sys->list_xattrs(p, "/f"); }},
+      {SysOp::kRemoveXattr, "removexattr",
+       [](Process& p) { (void)p.sys->remove_xattr(p, "/f", "user.k"); }},
+      {SysOp::kGetuid, "getuid", [](Process& p) { (void)p.sys->getuid(p); }},
+      {SysOp::kGeteuid, "geteuid", [](Process& p) { (void)p.sys->geteuid(p); }},
+      {SysOp::kGetgid, "getgid", [](Process& p) { (void)p.sys->getgid(p); }},
+      {SysOp::kGetegid, "getegid", [](Process& p) { (void)p.sys->getegid(p); }},
+      {SysOp::kGetgroups, "getgroups",
+       [](Process& p) { (void)p.sys->getgroups(p); }},
+      {SysOp::kSetuid, "setuid", [](Process& p) { (void)p.sys->setuid(p, 0); }},
+      {SysOp::kSetgid, "setgid", [](Process& p) { (void)p.sys->setgid(p, 0); }},
+      {SysOp::kSetresuid, "setresuid",
+       [](Process& p) { (void)p.sys->setresuid(p, 0, 0, 0); }},
+      {SysOp::kSetresgid, "setresgid",
+       [](Process& p) { (void)p.sys->setresgid(p, 0, 0, 0); }},
+      {SysOp::kSeteuid, "seteuid", [](Process& p) { (void)p.sys->seteuid(p, 0); }},
+      {SysOp::kSetegid, "setegid", [](Process& p) { (void)p.sys->setegid(p, 0); }},
+      {SysOp::kSetgroups, "setgroups",
+       [](Process& p) { (void)p.sys->setgroups(p, {}); }},
+      {SysOp::kUnshareUserns, "unshare",
+       [](Process& p) { (void)p.sys->unshare_userns(p); }},
+      {SysOp::kUnshareMountns, "unshare",
+       [](Process& p) { (void)p.sys->unshare_mountns(p); }},
+      {SysOp::kWriteUidMap, "write",
+       [](Process& p) { (void)p.sys->write_uid_map(p, p.userns, {}); }},
+      {SysOp::kWriteGidMap, "write",
+       [](Process& p) { (void)p.sys->write_gid_map(p, p.userns, {}); }},
+      {SysOp::kWriteSetgroups, "write",
+       [](Process& p) {
+         (void)p.sys->write_setgroups(
+             p, p.userns, kernel::UserNamespace::SetgroupsPolicy::kDeny);
+       }},
+      {SysOp::kUsernsAutoMap, "userns_auto_map",
+       [](Process& p) { (void)p.sys->userns_auto_map(p); }},
+      {SysOp::kMount, "mount",
+       [mnt](Process& p) { (void)p.sys->mount(p, mnt(p)); }},
+      {SysOp::kUmount, "umount",
+       [](Process& p) { (void)p.sys->umount(p, "/mnt"); }},
+      {SysOp::kBindMount, "mount",
+       [](Process& p) { (void)p.sys->bind_mount(p, "/d", "/mnt", false); }},
+  };
+}
+
+// Every op is counted under its historical name by both observability
+// layers, one call per call, and the table covers every SysOp.
+TEST_F(InterposeTest, TraceOverObserveRecordsEveryOpUnderItsName) {
+  obs::MetricsRegistry reg;
+  obs::FlightRecorder rec(64);
+  auto observed =
+      std::make_shared<kernel::ObserveSyscalls>(kernel_.syscalls(), &reg, &rec);
+  auto stats = std::make_shared<SyscallStats>();
+  Process p = proc(std::make_shared<TraceSyscalls>(observed, stats));
+  ASSERT_TRUE(kernel_.syscalls()->write_file(p, "/f", "x", false, 0644).ok());
+
+  std::set<SysOp> covered;
+  for (const OpCase& c : every_op()) {
+    SCOPED_TRACE(c.name);
+    covered.insert(c.op);
+    EXPECT_STREQ(kernel::sysop_name(c.op), c.name);
+    obs::Counter& calls = reg.counter(std::string("syscall.") + c.name + ".calls");
+    const std::uint64_t traced0 = stats->calls(c.name);
+    const std::uint64_t observed0 = calls.value();
+    c.call(p);
+    EXPECT_EQ(stats->calls(c.name), traced0 + 1);
+    EXPECT_EQ(calls.value(), observed0 + 1);
+  }
+  EXPECT_EQ(covered.size(), kernel::kSysOpCount);
+  EXPECT_EQ(stats->totals().calls, kernel::kSysOpCount);
+  EXPECT_EQ(reg.counter("syscall.calls").value(), kernel::kSysOpCount);
+}
+
+// A match-everything fault spec fires on exactly the path-taking file,
+// xattr-read/write and mount ops, and the call sequence counts only those.
+TEST_F(InterposeTest, FaultInjectSeesExactlyTheFaultableOps) {
+  const std::set<SysOp> faultable = {
+      SysOp::kStat,     SysOp::kLstat,    SysOp::kReadFile, SysOp::kWriteFile,
+      SysOp::kReaddir,  SysOp::kReadlink, SysOp::kMkdir,    SysOp::kMknod,
+      SysOp::kSymlink,  SysOp::kLink,     SysOp::kUnlink,   SysOp::kRmdir,
+      SysOp::kRename,   SysOp::kChown,    SysOp::kChmod,    SysOp::kAccess,
+      SysOp::kSetXattr, SysOp::kGetXattr, SysOp::kMount,    SysOp::kBindMount,
+  };
+  auto inject = std::make_shared<FaultInjectSyscalls>(
+      kernel_.syscalls(), 3, FaultSpec{"", "", Err::eio});
+  Process p = proc(inject);
+  for (const OpCase& c : every_op()) {
+    SCOPED_TRACE(c.name);
+    const std::size_t fired0 = inject->injected().size();
+    const std::uint64_t seen0 = inject->calls_seen();
+    c.call(p);
+    const std::uint64_t expect = faultable.count(c.op);
+    EXPECT_EQ(inject->injected().size(), fired0 + expect);
+    EXPECT_EQ(inject->calls_seen(), seen0 + expect);
+    if (expect == 1) {
+      EXPECT_EQ(inject->injected().back().op, c.name);
+    }
+  }
+  EXPECT_EQ(inject->injected().size(), faultable.size());
+}
+
+// Ops without a path argument keep their strace-style transcript details.
+TEST_F(InterposeTest, TraceDetailsForIdentityAndNamespaceOps) {
+  Transcript tr;
+  kernel::TraceOptions topts;
+  topts.transcript = &tr;
+  Process p = proc(
+      std::make_shared<TraceSyscalls>(kernel_.syscalls(), nullptr, topts));
+  (void)p.sys->setuid(p, 1000);
+  (void)p.sys->unshare_userns(p);
+  (void)p.sys->write_uid_map(p, p.userns, {});
+  EXPECT_TRUE(tr.contains("setuid(\"1000\") = "));
+  EXPECT_TRUE(tr.contains("unshare(\"CLONE_NEWUSER\") = "));
+  EXPECT_TRUE(tr.contains("write(\"/proc/self/uid_map\") = "));
+}
+
+// A misspelt op would never match; the layer refuses it up front.
+TEST_F(InterposeTest, FaultSpecRejectsUnknownOpNames) {
+  EXPECT_THROW(FaultInjectSyscalls(kernel_.syscalls(), 1,
+                                   FaultSpec{"wrtie", "", Err::eio}),
+               std::invalid_argument);
+  EXPECT_THROW(FaultInjectSyscalls(kernel_.syscalls(), 1,
+                                   std::vector<FaultSpec>{
+                                       FaultSpec{"write", "", Err::eio},
+                                       FaultSpec{"write_file", "", Err::eio}}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(FaultInjectSyscalls(kernel_.syscalls(), 1,
+                                      FaultSpec{"", "", Err::eio}));
+  for (const char* name : kernel::kSysOpNames) {
+    EXPECT_NO_THROW(FaultInjectSyscalls(kernel_.syscalls(), 1,
+                                        FaultSpec{name, "", Err::eio}))
+        << name;
+  }
 }
 
 // --- builders under trace + fault injection ----------------------------------

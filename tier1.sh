@@ -33,15 +33,18 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 # registry/chunk-store stress tests, the thread pool itself, the parallel
 # stage scheduler / shared build cache + CoW snapshots, the metrics
 # registry / tracer / flight-recorder seqlock rings, the P2P chunk swarm,
-# the registry service's concurrent push/tag-move/GC protocol, and the
-# zero-consistency filter's shared atomic stats sink under parallel stages).
+# the registry service's concurrent push/tag-move/GC protocol, the
+# zero-consistency filter's shared atomic stats sink under parallel stages,
+# and the interposition stack's shared hook path plus FaultInjectSyscalls'
+# mutex-guarded state, which parallel stages call concurrently).
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "$TSAN_DIR" -S . -DMINICON_TSAN=ON
 cmake --build "$TSAN_DIR" -j "$(nproc)" \
   --target test_concurrency test_threadpool test_buildgraph test_vfs_cow \
-  test_obs test_swarm test_service test_zeroconsistency swarm_smoke
+  test_obs test_swarm test_service test_zeroconsistency test_interpose \
+  swarm_smoke
 ctest --test-dir "$TSAN_DIR" --output-on-failure \
-  -R 'test_concurrency|test_threadpool|test_buildgraph|test_vfs_cow|test_obs|test_swarm|test_service|test_zeroconsistency'
+  -R 'test_concurrency|test_threadpool|test_buildgraph|test_vfs_cow|test_obs|test_swarm|test_service|test_zeroconsistency|test_interpose'
 
 # P2P launch smoke under TSAN: an 8-node peer-to-peer launch where every
 # pool worker reads peer caches concurrently; asserts the registry served
