@@ -65,8 +65,10 @@ int main() {
 
   c.section("3) distributed launch (per-node registry pulls)");
   const auto t0 = std::chrono::steady_clock::now();
-  auto via_registry = cluster.parallel_launch("atse/app:1.2.5", {"atse-app"},
-                                              /*via_shared_fs=*/false);
+  core::Cluster::LaunchOptions per_node;
+  per_node.mode = core::Cluster::LaunchMode::kPullPerNode;
+  auto via_registry = cluster.parallel_launch(
+      "atse/app:1.2.5", {"atse-app"}, per_node);
   c.check(via_registry.nodes_ok == 8 && via_registry.nodes_failed == 0,
           "all 8 compute nodes ran the app (pull-per-node)");
   bool all_native = true;
@@ -80,8 +82,10 @@ int main() {
             << " ms, registry pulls: " << cluster.registry().pulls() << "\n";
 
   c.section("3b) distributed launch (shared-filesystem image)");
-  auto via_lustre = cluster.parallel_launch("atse/app:1.2.5", {"atse-app"},
-                                            /*via_shared_fs=*/true);
+  core::Cluster::LaunchOptions shared_fs;
+  shared_fs.mode = core::Cluster::LaunchMode::kSharedFs;
+  auto via_lustre = cluster.parallel_launch(
+      "atse/app:1.2.5", {"atse-app"}, shared_fs);
   c.check(via_lustre.nodes_ok == 8,
           "all 8 nodes ran from the single /lustre image tree");
   std::cout << "  shared-fs wall time: " << via_lustre.wall_ms << " ms\n";

@@ -78,7 +78,9 @@ int main() {
     Transcript pt;
     c.check(ch.push("app", "site/app:1.0", pt) == 0,
             "and pushes to the site registry for distributed launch");
-    auto launch = site.parallel_launch("site/app:1.0", {"app"}, false);
+    core::Cluster::LaunchOptions per_node;
+    per_node.mode = core::Cluster::LaunchMode::kPullPerNode;
+    auto launch = site.parallel_launch("site/app:1.0", {"app"}, per_node);
     c.check(launch.nodes_ok == 1, "compute node runs the containerized app");
   }
   return c.finish();

@@ -153,8 +153,10 @@ void BM_LaunchWidthSweep(benchmark::State& state) {
   const int width = static_cast<int>(state.range(0));
   auto cluster = make_cluster(kNodes, width);
   for (auto _ : state) {
-    auto result = cluster->parallel_launch("bench/job:1", {"hostname"},
-                                           /*via_shared_fs=*/true);
+    core::Cluster::LaunchOptions shared_fs;
+    shared_fs.mode = core::Cluster::LaunchMode::kSharedFs;
+    auto result = cluster->parallel_launch(
+        "bench/job:1", {"hostname"}, shared_fs);
     if (result.nodes_ok != kNodes) {
       state.SkipWithError("launch failed");
       return;

@@ -74,7 +74,9 @@ int main() {
   // --- 3. distributed launch -------------------------------------------------
   std::cout << "\n$ srun -N" << astra.compute_count()
             << " ch-run atse/app:1.2.5 -- miniapp   # pull per node\n";
-  auto pulled = astra.parallel_launch("atse/app:1.2.5", {"miniapp"}, false);
+  core::Cluster::LaunchOptions per_node;
+  per_node.mode = core::Cluster::LaunchMode::kPullPerNode;
+  auto pulled = astra.parallel_launch("atse/app:1.2.5", {"miniapp"}, per_node);
   std::cout << "  nodes ok: " << pulled.nodes_ok << "/"
             << astra.compute_count() << ", wall: " << pulled.wall_ms
             << " ms, registry pulls so far: " << astra.registry().pulls()
@@ -85,7 +87,9 @@ int main() {
 
   std::cout << "\n$ srun -N" << astra.compute_count()
             << " ch-run /lustre/.../atse -- miniapp   # shared filesystem\n";
-  auto shared = astra.parallel_launch("atse/app:1.2.5", {"miniapp"}, true);
+  core::Cluster::LaunchOptions shared_fs;
+  shared_fs.mode = core::Cluster::LaunchMode::kSharedFs;
+  auto shared = astra.parallel_launch("atse/app:1.2.5", {"miniapp"}, shared_fs);
   std::cout << "  nodes ok: " << shared.nodes_ok << "/"
             << astra.compute_count() << ", wall: " << shared.wall_ms
             << " ms\n";

@@ -1,18 +1,12 @@
 #include "core/chimage.hpp"
 
-#include <chrono>
 #include <regex>
-#include <thread>
 
-#include "buildfile/dockerfile.hpp"
-#include "core/syscall_stack.hpp"
 #include "image/tar.hpp"
 #include "kernel/syscalls.hpp"
-#include "obs/flightrec.hpp"
 #include "support/path.hpp"
 #include "support/sha256.hpp"
 #include "support/strings.hpp"
-#include "support/threadpool.hpp"
 #include "vfs/snapshot.hpp"
 #include "vfs/treeops.hpp"
 
@@ -56,21 +50,11 @@ const std::vector<ForceConfig>& builtin_force_configs() {
   return configs;
 }
 
-std::string format_argv(const std::vector<std::string>& argv) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < argv.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += "'" + argv[i] + "'";
-  }
-  out += "]";
-  return out;
-}
-
 ChImage::ChImage(Machine& m, kernel::Process invoker,
                  image::Registry* registry, ChImageOptions options)
-    : m_(m),
-      invoker_(std::move(invoker)),
-      registry_(registry),
+    : BuildDriver(m, std::move(invoker), registry, options,
+                  options.build_cache, options.flight_recorder,
+                  Style::kChImage),
       options_(std::move(options)),
       embedded_db_(std::make_shared<fakeroot::FakeDb>()) {
   if (options_.storage_dir.empty()) {
@@ -82,39 +66,6 @@ ChImage::ChImage(Machine& m, kernel::Process invoker,
     options_.force_mode = ForceMode::kFakeroot;
   } else if (options_.force_mode != ForceMode::kNone) {
     options_.force = true;
-  }
-  if (options_.force_mode == ForceMode::kSeccomp) {
-    zc_stats_ = std::make_shared<kernel::ZeroConsistencyStats>();
-  }
-  if (options_.shared_cache != nullptr) {
-    cache_ = options_.shared_cache;
-    options_.build_cache = true;
-  } else if (options_.build_cache) {
-    // A private cache dedups its snapshot chunks against registry blobs.
-    cache_ = std::make_shared<buildgraph::BuildCache>(
-        registry_ != nullptr ? &registry_->chunk_store() : nullptr);
-  }
-  if (options_.trace_syscalls || options_.syscall_stats != nullptr) {
-    stats_ = options_.syscall_stats != nullptr
-                 ? options_.syscall_stats
-                 : std::make_shared<kernel::SyscallStats>();
-  }
-  metrics_ = options_.metrics != nullptr ? options_.metrics
-                                         : &obs::global_metrics();
-  recorder_ = options_.flight_recorder != nullptr
-                  ? options_.flight_recorder
-                  : &obs::global_flight_recorder();
-  if (options_.tracer != nullptr) {
-    tracer_ = options_.tracer;
-    options_.trace = true;  // a supplied tracer implies tracing
-  } else if (options_.trace) {
-    tracer_ = std::make_shared<obs::Tracer>();
-  }
-  if (cache_ != nullptr) {
-    // Leave a shared cache's wiring alone unless we have something to add:
-    // another builder (or the caller) may already have pointed it somewhere.
-    if (options_.metrics != nullptr) cache_->set_metrics(options_.metrics);
-    if (tracer_ != nullptr) cache_->set_tracer(tracer_);
   }
 }
 
@@ -196,43 +147,32 @@ Result<kernel::Process> ChImage::enter(const std::string& image_dir,
   opts.env = cfg.env;
   opts.kernel_auto_maps = options_.kernel_assisted_maps;
   MINICON_TRY_ASSIGN(container, enter_type3(m_, invoker_, rootfs, opts));
-  SyscallStackSinks sinks;
-  sinks.observe = options_.trace || options_.observe_syscalls;
-  sinks.metrics = metrics_;
-  sinks.recorder = recorder_;
-  sinks.zc_stats = zc_stats_;
-  sinks.layers = &options_.syscall_layers;
-  sinks.trace_stats = stats_;
-  if (options_.embedded_fakeroot) sinks.embedded_db = embedded_db_;
-  container.sys = assemble_syscall_stack(container.sys, sinks);
-  last_depth_ = kernel::interposition_depth(container.sys.get());
-  container.cwd = cfg.workdir.empty() ? "/" : cfg.workdir;
+  interpose(container, cfg,
+            options_.embedded_fakeroot ? embedded_db_ : nullptr);
   return container;
 }
 
-int ChImage::run_in_container(const std::string& image_dir,
-                              const image::ImageConfig& cfg,
-                              const std::vector<std::string>& argv,
-                              std::string& out, std::string& err) {
-  auto container = enter(image_dir, cfg);
+Result<kernel::Process> ChImage::enter(StageBuild& o,
+                                       const image::ImageConfig& cfg,
+                                       std::string& why) {
+  auto container = enter(static_cast<ChStage&>(o).dir, cfg);
   if (!container.ok()) {
-    err += "ch-run: cannot enter container: " +
+    why += "ch-run: cannot enter container: " +
            std::string(err_message(container.error())) + "\n";
-    return 1;
   }
-  return m_.shell().run_argv(*container, argv, out, err);
+  return container;
 }
 
 Result<vfs::SnapNodePtr> ChImage::tree_snapshot(const std::string& dir,
                                                 obs::SpanId parent) {
   MINICON_TRY_ASSIGN(loc, invoker_.sys->resolve(invoker_, dir, true));
-  obs::Span span(tracer_.get(), "snapshot", parent);
+  obs::Span span(tracer().get(), "snapshot", parent);
   vfs::SnapshotStats stats;
   MINICON_TRY_ASSIGN(snap, loc.mnt->fs->snapshot(loc.ino, &stats));
   span.annotate("nodes_built", std::to_string(stats.nodes_built));
   span.annotate("nodes_reused", std::to_string(stats.nodes_reused));
-  metrics_->counter("snapshot.nodes_built").add(stats.nodes_built);
-  metrics_->counter("snapshot.nodes_reused").add(stats.nodes_reused);
+  metrics().counter("snapshot.nodes_built").add(stats.nodes_built);
+  metrics().counter("snapshot.nodes_reused").add(stats.nodes_reused);
   return snap;
 }
 
@@ -245,7 +185,7 @@ bool ChImage::restore_tree(const std::string& dir,
   ctx.host_uid = invoker_.cred.euid;
   ctx.host_gid = invoker_.cred.egid;
   ctx.host_privileged = invoker_.cred.euid == 0;
-  obs::Span span(tracer_.get(), "snapshot.sync", parent);
+  obs::Span span(tracer().get(), "snapshot.sync", parent);
   auto stats = vfs::sync_tree(*loc->mnt->fs, loc->ino, target, ctx);
   if (!stats.ok()) return false;
   span.annotate("created", std::to_string(stats->created));
@@ -289,7 +229,7 @@ Result<image::ImageConfig> ChImage::pull_into(const std::string& ref,
   if (auto led = m_.snapshots().find(dir);
       led.has_value() && led->key == base_key) {
     if (restore_tree(dir, led->snap)) {
-      metrics_->counter("snapshot.base_reuses").add();
+      metrics().counter("snapshot.base_reuses").add();
       return manifest->config;
     }
   }
@@ -337,67 +277,174 @@ int ChImage::pull(const std::string& ref, const std::string& tag,
   return 0;
 }
 
-int ChImage::build(const std::string& tag, const std::string& dockerfile_text,
-                   Transcript& t) {
-  auto parsed = build::parse_dockerfile(dockerfile_text);
-  if (const auto* err = std::get_if<build::DockerfileError>(&parsed)) {
-    t.line("error: Dockerfile line " + std::to_string(err->line) + ": " +
-           err->message);
+int ChImage::materialize(const std::string& tag,
+                         const buildgraph::BuildGraph& g,
+                         const buildgraph::Stage& s, const Stages& sb,
+                         StageBuild& base, Transcript& t,
+                         obs::SpanId stage_span) {
+  auto& o = static_cast<ChStage&>(base);
+  // The final stage *is* the image; intermediates get side directories.
+  o.dir = s.index == g.target()
+              ? storage_path(tag)
+              : storage_path(tag) + "+stage" + std::to_string(s.index);
+  if (auto rc = ensure_dir(o.dir); !rc.ok()) {
+    t.line("error: cannot create storage directory " + o.dir);
     return 1;
   }
-  const auto& df = std::get<build::Dockerfile>(parsed);
-  auto lowered = buildgraph::lower(df);
-  if (const auto* err = std::get_if<build::DockerfileError>(&lowered)) {
-    t.line("error: Dockerfile line " + std::to_string(err->line) + ": " +
-           err->message);
-    return 1;
-  }
-  const auto& g = std::get<buildgraph::BuildGraph>(lowered);
-
-  // Baseline for the per-build faked-op delta (the sink is builder-lifetime
-  // and a builder can run many builds).
-  const kernel::ZeroConsistencyStats::Totals zc0 =
-      zc_stats_ != nullptr ? zc_stats_->totals()
-                           : kernel::ZeroConsistencyStats::Totals{};
-
-  std::vector<StageBuild> sb(g.stages().size());
-  // Adopt the caller's trace context (a cluster launch, a test harness) or
-  // mint one: either way every span and flight event below carries it.
-  trace_ctx_ = obs::current_trace().active() ? obs::current_trace()
-                                             : obs::TraceContext::fresh();
-  obs::TraceScope trace_scope(trace_ctx_);
-  obs::Span build_span(tracer_.get(), "build");
-  build_span.annotate("builder", "ch-image");
-  build_span.annotate("tag", tag);
-  build_span.annotate("trace_id", trace_ctx_.hex());
-  buildgraph::StageScheduler::Options sopts;
-  sopts.pool =
-      options_.stage_pool != nullptr ? options_.stage_pool.get() : nullptr;
-  sopts.parallel = options_.parallel_stages;
-  sopts.tracer = tracer_;
-  sopts.parent_span = build_span.id();
-  sopts.metrics = options_.metrics;
-  buildgraph::StageScheduler sched(g, sopts);
-  const int rc = sched.run(
-      [&](const buildgraph::Stage& s, Transcript& st) {
-        return build_stage(tag, g, s, sb, st, sched.stage_span(s.index));
-      },
-      t);
-  sched_stats_ = sched.stats();
-  build_span.annotate("status", std::to_string(rc));
-  if (rc != 0) {
-    // Failure forensics: the post-mortem anchor event. Whatever syscall
-    // errors / injected faults led here share this trace id — dump the
-    // recorder filtered by it to read the causal chain.
-    if (recorder_->enabled()) {
-      recorder_->record(obs::FlightKind::kBuildFailed,
-                        obs::flight_detail("ch-image", "", tag), rc);
+  if (s.base_stage >= 0) {
+    // Base is an earlier stage's tree: snapshot it and sync our directory to
+    // match — subtrees left over from a previous build that already agree by
+    // digest are reused instead of recopied.
+    const auto& dep = static_cast<const ChStage&>(
+        *sb[static_cast<std::size_t>(s.base_stage)]);
+    auto snap = tree_snapshot(dep.dir, stage_span);
+    if (!snap.ok() || !restore_tree(o.dir, *snap, stage_span)) {
+      t.line("error: cannot materialize " + g.stage(s.base_stage).display());
+      return 1;
     }
-    if (zc_stats_ != nullptr) {
+    o.cfg = dep.cfg;
+  } else {
+    Transcript pull_t;
+    auto cfg = pull_into(s.base_ref, o.dir, pull_t);
+    if (!cfg.ok()) {
+      for (const auto& l : pull_t.lines()) t.line(l);
+      return 1;
+    }
+    o.cfg = *cfg;
+  }
+  o.force_cfg = detect_config(o.dir);
+  if (options_.force_mode == ForceMode::kSeccomp) {
+    // No distro sniffing required: the filter works on the syscall number
+    // alone, so there is nothing to match, install, or rewrite.
+    t.line("will use --force: seccomp: zero-consistency root emulation "
+           "(no image modification)");
+  } else if (options_.force) {
+    if (o.force_cfg != nullptr) {
+      t.line("will use --force: " + o.force_cfg->name + ": " +
+             o.force_cfg->description);
+    } else {
+      t.line("warning: --force requested but no config matched");
+    }
+  }
+  return 0;
+}
+
+int ChImage::prepare_run(StageBuild& base, const build::Instruction& ins,
+                         std::vector<std::string>& argv, Transcript& t) {
+  auto& o = static_cast<ChStage&>(base);
+  o.keyword_hit = false;
+  if (o.force_cfg != nullptr) {
+    const std::string& cmd = ins.is_exec_form() ? argv.back() : ins.text;
+    for (const auto& kw : o.force_cfg->run_keywords) {
+      if (contains(cmd, kw)) o.keyword_hit = true;
+    }
+  }
+  o.any_keyword_match = o.any_keyword_match || o.keyword_hit;
+  if (!o.keyword_hit || options_.force_mode != ForceMode::kFakeroot ||
+      options_.embedded_fakeroot || options_.kernel_assisted_maps) {
+    return 0;
+  }
+  if (!o.fakeroot_inited) {
+    // Runs one init-step command in a fresh container; -1 if none starts.
+    const auto run = [&](const std::string& cmd, std::string& out,
+                         std::string& err) {
+      auto container = enter(o.dir, o.cfg);
+      if (!container.ok()) t.line("error: cannot enter container");
+      return container.ok() ? m_.shell().run(*container, cmd, out, err) : -1;
+    };
+    int step_no = 0;
+    for (const auto& step : o.force_cfg->init_steps) {
+      const std::string init_step = "init step " + std::to_string(++step_no);
+      t.line("workarounds: " + init_step + ": checking: $ " + step.check_cmd);
+      std::string out, err;
+      const int check = run(step.check_cmd, out, err);
+      if (check < 0) return 1;
+      if (check == 0) continue;  // step already satisfied
+      t.line("workarounds: " + init_step + ": $ " + step.apply_cmd);
+      out.clear();
+      err.clear();
+      const int applied = run(step.apply_cmd, out, err);
+      if (applied < 0) return 1;
+      t.block(out);
+      t.block(err);
+      if (applied != 0) {
+        t.line("error: --force " + init_step + " failed with exit status " +
+               std::to_string(applied));
+        return applied;
+      }
+    }
+    o.fakeroot_inited = true;
+  }
+  argv.insert(argv.begin(), "fakeroot");
+  t.line("workarounds: RUN: new command: " + format_argv(argv));
+  ++o.modified_runs;
+  return 0;
+}
+
+void ChImage::run_failed(const StageBuild& base, Transcript& t) {
+  const auto& o = static_cast<const ChStage&>(base);
+  if (!options_.force && o.force_cfg != nullptr && o.keyword_hit) {
+    t.line("hint: build failed; --force might fix it (config " +
+           o.force_cfg->name + ": " + o.force_cfg->description + ")");
+  }
+}
+
+Result<vfs::SnapNodePtr> ChImage::snapshot(StageBuild& o, obs::SpanId parent) {
+  return tree_snapshot(static_cast<ChStage&>(o).dir, parent);
+}
+
+bool ChImage::restore(StageBuild& o, const vfs::SnapNodePtr& snap,
+                      obs::SpanId parent) {
+  return restore_tree(static_cast<ChStage&>(o).dir, snap, parent);
+}
+
+Result<std::string> ChImage::copy(StageBuild& base, const Stages& sb,
+                                  const buildgraph::StageInstr& si,
+                                  const std::string& src, std::string dst,
+                                  Transcript& t) {
+  auto& o = static_cast<ChStage&>(base);
+  std::string src_path = src;
+  if (si.copy_from >= 0) {
+    // Source is an earlier stage's tree (already built: the graph recorded
+    // the dependency and the scheduler ordered it).
+    const auto& from = static_cast<const ChStage&>(
+        *sb[static_cast<std::size_t>(si.copy_from)]);
+    src_path = from.dir + path_normalize("/" + src);
+  }
+  Result<std::string> data = invoker_.sys->read_file(invoker_, src_path);
+  if (!data.ok()) {
+    t.line("error: COPY: cannot read " + src + ": " +
+           std::string(err_message(data.error())));
+    return data.error();
+  }
+  if (dst.ends_with("/")) dst += path_basename(src);
+  const std::string target = o.dir + path_normalize("/" + dst);
+  (void)ensure_dir(path_dirname(target));
+  if (auto rc = invoker_.sys->write_file(invoker_, target, *data, false, 0644);
+      !rc.ok()) {
+    t.line("error: COPY: cannot write " + dst);
+    return rc.error();
+  }
+  return context_digest(src_path, *data);
+}
+
+void ChImage::user(StageBuild&, const std::string&, Transcript& t) {
+  // A Type III image has exactly one user; like real ch-image, warn and
+  // continue (§2.1.1: multiple users are rarely needed for HPC).
+  t.line("warning: USER instruction ignored (Type III images are "
+         "single-user)");
+}
+
+int ChImage::finish(const std::string& tag, const buildgraph::BuildGraph& g,
+                    Stages& sb, int rc,
+                    const kernel::ZeroConsistencyStats::Totals& zc0,
+                    Transcript& t) {
+  const auto& zc_stats = zeroconsistency_stats();
+  if (rc != 0) {
+    if (zc_stats != nullptr) {
       // Readback-divergence report: with zero state kept, a faked result a
       // later step checked is the prime suspect for the failure.
-      const auto zc = zc_stats_->totals();
-      const std::uint64_t faked = zc.total() - zc0.total();
+      const std::uint64_t faked = zc_stats->totals().total() - zc0.total();
       if (faked > 0) {
         t.line("hint: build failed under --force=seccomp after " +
                std::to_string(faked) +
@@ -407,13 +454,12 @@ int ChImage::build(const std::string& tag, const std::string& dockerfile_text,
     }
     return rc;
   }
-
-  const StageBuild& target = sb[static_cast<std::size_t>(g.target())];
-  configs_[tag] = target.cfg;
+  configs_[tag] = sb[static_cast<std::size_t>(g.target())]->cfg;
   int modified_runs = 0;
   bool any_keyword_match = false;
   const ForceConfig* hint_cfg = nullptr;
-  for (const auto& s : sb) {
+  for (const auto& stage : sb) {
+    const auto& s = static_cast<const ChStage&>(*stage);
     modified_runs += s.modified_runs;
     if (s.any_keyword_match) {
       any_keyword_match = true;
@@ -421,7 +467,7 @@ int ChImage::build(const std::string& tag, const std::string& dockerfile_text,
     }
   }
   if (options_.force_mode == ForceMode::kSeccomp) {
-    const auto zc = zc_stats_->totals();
+    const auto zc = zc_stats->totals();
     t.line("--force: seccomp: faked " +
            std::to_string(zc.total() - zc0.total()) +
            " privileged syscalls (chown " +
@@ -445,350 +491,6 @@ int ChImage::build(const std::string& tag, const std::string& dockerfile_text,
   }
   t.line("grown in " + std::to_string(g.instruction_count()) +
          " instructions: " + tag);
-  return 0;
-}
-
-int ChImage::build_stage(const std::string& tag,
-                         const buildgraph::BuildGraph& g,
-                         const buildgraph::Stage& s,
-                         std::vector<StageBuild>& sb, Transcript& t,
-                         obs::SpanId stage_span) {
-  // Stages migrate across pool workers; re-establish the build's context on
-  // whichever thread actually runs this stage.
-  obs::TraceScope trace_scope(trace_ctx_);
-  std::unique_lock lock(machine_mu_);
-  StageBuild& o = sb[static_cast<std::size_t>(s.index)];
-  // The final stage *is* the image; intermediates get side directories.
-  o.dir = s.index == g.target()
-              ? storage_path(tag)
-              : storage_path(tag) + "+stage" + std::to_string(s.index);
-  t.line(std::to_string(s.from_number) + " FROM " + s.from->text);
-  if (auto rc = ensure_dir(o.dir); !rc.ok()) {
-    t.line("error: cannot create storage directory " + o.dir);
-    return 1;
-  }
-  if (s.base_stage >= 0) {
-    // Base is an earlier stage's tree: snapshot it and sync our directory to
-    // match — subtrees left over from a previous build that already agree by
-    // digest are reused instead of recopied.
-    const StageBuild& dep = sb[static_cast<std::size_t>(s.base_stage)];
-    auto snap = tree_snapshot(dep.dir, stage_span);
-    if (!snap.ok() || !restore_tree(o.dir, *snap, stage_span)) {
-      t.line("error: cannot materialize " + g.stage(s.base_stage).display());
-      return 1;
-    }
-    o.cfg = dep.cfg;
-    o.key = buildgraph::BuildCache::chain(dep.key, "FROM-STAGE");
-  } else {
-    Transcript pull_t;
-    auto cfg = pull_into(s.base_ref, o.dir, pull_t);
-    if (!cfg.ok()) {
-      for (const auto& l : pull_t.lines()) t.line(l);
-      return 1;
-    }
-    o.cfg = *cfg;
-    o.key = buildgraph::BuildCache::chain("ch-image", "FROM|" + s.from->text,
-                                          {o.cfg.arch});
-  }
-  o.force_cfg = detect_config(o.dir);
-  if (options_.force_mode == ForceMode::kSeccomp) {
-    // No distro sniffing required: the filter works on the syscall number
-    // alone, so there is nothing to match, install, or rewrite.
-    t.line("will use --force: seccomp: zero-consistency root emulation "
-           "(no image modification)");
-  } else if (options_.force) {
-    if (o.force_cfg != nullptr) {
-      t.line("will use --force: " + o.force_cfg->name + ": " +
-             o.force_cfg->description);
-    } else {
-      t.line("warning: --force requested but no config matched");
-    }
-  }
-
-  bool fakeroot_inited = false;
-  // ARG values exist only during the build and are stage-scoped (Docker
-  // semantics); they overlay the environment for RUN instructions.
-  std::map<std::string, std::string> build_args;
-
-  for (const auto& si : s.instrs) {
-    const build::Instruction& ins = *si.ins;
-    const std::string idx_str = std::to_string(si.number);
-    obs::Span ins_span(tracer_.get(), "instruction", stage_span);
-    ins_span.annotate("number", idx_str);
-    ins_span.annotate("kind", build::instr_name(ins.kind));
-    switch (ins.kind) {
-      case build::InstrKind::kFrom:
-        break;  // unreachable: FROM opens a stage, never appears in a body
-      case build::InstrKind::kRun: {
-        std::vector<std::string> argv =
-            ins.is_exec_form()
-                ? ins.exec_form
-                : std::vector<std::string>{"/bin/sh", "-c", ins.text};
-        t.line(idx_str + " RUN " + format_argv(argv));
-
-        o.key = buildgraph::BuildCache::chain(o.key,
-                                              "RUN|" + join(argv, "\x1f"));
-        if (cache_ != nullptr) {
-          auto hit = cache_->lookup(o.key, ins_span.id());
-          if (hit && restore_tree(o.dir, hit->snapshot, ins_span.id())) {
-            o.cfg = hit->config;
-            ins_span.annotate("cached", "true");
-            t.line("cached: using existing layer for step " + idx_str);
-            break;
-          }
-        }
-
-        const bool keyword_hit = [&] {
-          if (o.force_cfg == nullptr) return false;
-          const std::string& cmd = ins.is_exec_form() ? argv.back() : ins.text;
-          for (const auto& kw : o.force_cfg->run_keywords) {
-            if (contains(cmd, kw)) return true;
-          }
-          return false;
-        }();
-        o.any_keyword_match = o.any_keyword_match || keyword_hit;
-
-        if (keyword_hit && options_.force_mode == ForceMode::kFakeroot &&
-            !options_.embedded_fakeroot && !options_.kernel_assisted_maps) {
-          if (!fakeroot_inited) {
-            int step_no = 0;
-            for (const auto& step : o.force_cfg->init_steps) {
-              ++step_no;
-              t.line("workarounds: init step " + std::to_string(step_no) +
-                     ": checking: $ " + step.check_cmd);
-              std::string out, err;
-              auto container = enter(o.dir, o.cfg);
-              if (!container.ok()) {
-                t.line("error: cannot enter container");
-                return 1;
-              }
-              const int check =
-                  m_.shell().run(*container, step.check_cmd, out, err);
-              if (check == 0) continue;  // step already satisfied
-              t.line("workarounds: init step " + std::to_string(step_no) +
-                     ": $ " + step.apply_cmd);
-              out.clear();
-              err.clear();
-              auto apply_container = enter(o.dir, o.cfg);
-              if (!apply_container.ok()) {
-                t.line("error: cannot enter container");
-                return 1;
-              }
-              const int applied =
-                  m_.shell().run(*apply_container, step.apply_cmd, out, err);
-              t.block(out);
-              t.block(err);
-              if (applied != 0) {
-                t.line("error: --force init step " + std::to_string(step_no) +
-                       " failed with exit status " + std::to_string(applied));
-                return applied;
-              }
-            }
-            fakeroot_inited = true;
-          }
-          argv.insert(argv.begin(), "fakeroot");
-          t.line("workarounds: RUN: new command: " + format_argv(argv));
-          ++o.modified_runs;
-        }
-
-        image::ImageConfig run_cfg = o.cfg;
-        for (const auto& [k, v] : build_args) run_cfg.env[k] = v;
-        int status = 0;
-        std::string errno_sum;
-        for (int attempt = 1;; ++attempt) {
-          std::string out, err;
-          const kernel::SyscallStats::Totals before =
-              stats_ != nullptr ? stats_->totals()
-                                : kernel::SyscallStats::Totals{};
-          const kernel::ZeroConsistencyStats::Totals zc_before =
-              zc_stats_ != nullptr ? zc_stats_->totals()
-                                   : kernel::ZeroConsistencyStats::Totals{};
-          // One syscall-batch span per attempt: deltas of the shared
-          // syscall.* counters are exact because the machine mutex is held
-          // across the container run.
-          obs::Span batch(tracer_.get(), "syscall-batch", ins_span.id());
-          batch.annotate("attempt", std::to_string(attempt));
-          const std::uint64_t calls0 =
-              metrics_->counter("syscall.calls").value();
-          const std::uint64_t errors0 =
-              metrics_->counter("syscall.errors").value();
-          status = run_in_container(o.dir, run_cfg, argv, out, err);
-          batch.annotate(
-              "calls", std::to_string(
-                           metrics_->counter("syscall.calls").value() - calls0));
-          batch.annotate("errors",
-                         std::to_string(
-                             metrics_->counter("syscall.errors").value() -
-                             errors0));
-          batch.annotate("status", std::to_string(status));
-          batch.end();
-          t.block(out);
-          t.block(err);
-          errno_sum.clear();
-          if (stats_ != nullptr) {
-            const auto after = stats_->totals();
-            errno_sum = kernel::SyscallStats::errno_summary(before, after);
-            std::string line = "syscalls: instruction " + idx_str + ": " +
-                               std::to_string(after.calls - before.calls) +
-                               " calls, " +
-                               std::to_string(after.errors - before.errors) +
-                               " errors";
-            if (!errno_sum.empty()) line += " (" + errno_sum + ")";
-            line += ", depth " + std::to_string(last_depth_);
-            t.line(line);
-          }
-          if (zc_stats_ != nullptr) {
-            const auto zc_after = zc_stats_->totals();
-            if (zc_after.total() > zc_before.total()) {
-              t.line("seccomp: instruction " + idx_str + ": faked " +
-                     std::to_string(zc_after.total() - zc_before.total()) +
-                     " privileged syscalls");
-            }
-          }
-          if (status == 0 || attempt >= options_.run_retry.max_attempts) {
-            break;
-          }
-          const int delay = options_.run_retry.backoff_ms(attempt + 1);
-          t.line("retry: RUN instruction " + idx_str + " exited " +
-                 std::to_string(status) + "; attempt " +
-                 std::to_string(attempt + 1) + "/" +
-                 std::to_string(options_.run_retry.max_attempts) + " in " +
-                 std::to_string(delay) + " ms");
-          // Back off without holding the machine: other stages keep going.
-          lock.unlock();
-          std::this_thread::sleep_for(std::chrono::milliseconds(delay));
-          lock.lock();
-        }
-        if (status != 0) {
-          if (!options_.force && o.force_cfg != nullptr && keyword_hit) {
-            t.line("hint: build failed; --force might fix it (config " +
-                   o.force_cfg->name + ": " + o.force_cfg->description + ")");
-          }
-          if (stats_ != nullptr) {
-            t.line("error: RUN instruction " + idx_str +
-                   " failed with exit status " + std::to_string(status) +
-                   (errno_sum.empty()
-                        ? ""
-                        : " (syscall errors: " + errno_sum + ")"));
-          }
-          t.line("error: build failed: RUN command exited with " +
-                 std::to_string(status));
-          return status;
-        }
-        if (cache_ != nullptr) {
-          if (auto snap = tree_snapshot(o.dir, ins_span.id()); snap.ok()) {
-            // Chunking new subtrees happens outside the machine lock; this
-            // is the work independent stages genuinely overlap.
-            lock.unlock();
-            cache_->store(o.key, *snap, o.cfg, ins_span.id());
-            lock.lock();
-          }
-        }
-        break;
-      }
-      case build::InstrKind::kEnv: {
-        t.line(idx_str + " ENV " + ins.text);
-        for (const auto& [k, v] : build::parse_kv(ins.text)) o.cfg.env[k] = v;
-        o.key = buildgraph::BuildCache::chain(o.key, "ENV|" + ins.text);
-        break;
-      }
-      case build::InstrKind::kArg: {
-        t.line(idx_str + " ARG " + ins.text);
-        const auto eq = ins.text.find('=');
-        if (eq != std::string::npos) {
-          build_args[ins.text.substr(0, eq)] = ins.text.substr(eq + 1);
-        } else {
-          build_args[ins.text];  // declared, empty default
-        }
-        o.key = buildgraph::BuildCache::chain(o.key, "ARG|" + ins.text);
-        break;
-      }
-      case build::InstrKind::kLabel: {
-        t.line(idx_str + " LABEL " + ins.text);
-        for (const auto& [k, v] : build::parse_kv(ins.text)) {
-          o.cfg.labels[k] = v;
-        }
-        break;
-      }
-      case build::InstrKind::kWorkdir: {
-        t.line(idx_str + " WORKDIR " + ins.text);
-        o.cfg.workdir = ins.text;
-        auto container = enter(o.dir, o.cfg);
-        if (container.ok()) {
-          std::string out, err;
-          (void)m_.shell().run(*container, "mkdir -p " + ins.text, out, err);
-        }
-        o.key = buildgraph::BuildCache::chain(o.key, "WORKDIR|" + ins.text);
-        break;
-      }
-      case build::InstrKind::kCopy:
-      case build::InstrKind::kAdd: {
-        t.line(idx_str + " COPY " + ins.text);
-        const auto fields = split_ws(si.copy_args);
-        if (fields.size() < 2) {
-          t.line("error: COPY requires source and destination");
-          return 1;
-        }
-        const std::string& src = fields[0];
-        std::string dst = fields.back();
-        std::string src_path = src;
-        if (si.copy_from >= 0) {
-          // Source is an earlier stage's tree (already built: the graph
-          // recorded the dependency and the scheduler ordered it).
-          const StageBuild& from = sb[static_cast<std::size_t>(si.copy_from)];
-          src_path = from.dir + path_normalize("/" + src);
-        }
-        Result<std::string> data = invoker_.sys->read_file(invoker_, src_path);
-        if (!data.ok()) {
-          t.line("error: COPY: cannot read " + src + ": " +
-                 std::string(err_message(data.error())));
-          return 1;
-        }
-        if (dst.ends_with("/")) dst += path_basename(src);
-        const std::string target = o.dir + path_normalize("/" + dst);
-        (void)ensure_dir(path_dirname(target));
-        if (auto rc =
-                invoker_.sys->write_file(invoker_, target, *data, false, 0644);
-            !rc.ok()) {
-          t.line("error: COPY: cannot write " + dst);
-          return 1;
-        }
-        // The context digest is the source's cached Merkle digest when its
-        // filesystem maintains one (O(1) for an unchanged file), falling
-        // back to hashing the bytes just read.
-        o.key = buildgraph::BuildCache::chain(
-            o.key, "COPY|" + ins.text, {context_digest(src_path, *data)});
-        break;
-      }
-      case build::InstrKind::kCmd: {
-        t.line(idx_str + " CMD " + ins.text);
-        o.cfg.cmd = ins.is_exec_form()
-                        ? ins.exec_form
-                        : std::vector<std::string>{"/bin/sh", "-c", ins.text};
-        break;
-      }
-      case build::InstrKind::kEntrypoint: {
-        t.line(idx_str + " ENTRYPOINT " + ins.text);
-        o.cfg.entrypoint =
-            ins.is_exec_form()
-                ? ins.exec_form
-                : std::vector<std::string>{"/bin/sh", "-c", ins.text};
-        break;
-      }
-      case build::InstrKind::kUser: {
-        t.line(idx_str + " USER " + ins.text);
-        // A Type III image has exactly one user; like real ch-image, warn
-        // and continue (§2.1.1: multiple users are rarely needed for HPC).
-        t.line("warning: USER instruction ignored (Type III images are "
-               "single-user)");
-        break;
-      }
-      case build::InstrKind::kShell: {
-        t.line(idx_str + " SHELL " + ins.text);
-        break;
-      }
-    }
-  }
   return 0;
 }
 
@@ -852,10 +554,7 @@ int ChImage::push(const std::string& tag, const std::string& dest_ref,
     // Pipelined push: stream the tar serialization into a chunked blob
     // writer — chunks digest and upload on the pool while later entries are
     // still serializing; a re-push of unchanged content transfers nothing.
-    support::ThreadPool* pool = options_.digest_pool != nullptr
-                                    ? options_.digest_pool.get()
-                                    : &support::shared_pool();
-    auto writer = registry_->blob_writer(pool);
+    auto writer = registry_->blob_writer(&digest_pool());
     image::tar_stream(out_entries, [&writer](std::string_view piece) {
       writer.append(piece);
     });
@@ -873,11 +572,8 @@ int ChImage::push(const std::string& tag, const std::string& dest_ref,
       t.line("error: cannot archive image " + tag);
       return 1;
     }
-    support::ThreadPool* pool = options_.digest_pool != nullptr
-                                    ? options_.digest_pool.get()
-                                    : &support::shared_pool();
     auto flat = vfs::flatten_snapshot(*snap, &flatten_memo_);
-    auto res = registry_->put_tree(flat, pool);
+    auto res = registry_->put_tree(flat, &digest_pool());
     layer_digest = res.digest;
     layer_bytes = res.total_bytes;
     transferred = res.new_bytes;
@@ -910,8 +606,12 @@ int ChImage::run_in_image(const std::string& tag,
   auto it = configs_.find(tag);
   const image::ImageConfig cfg =
       it != configs_.end() ? it->second : image::ImageConfig{};
+  ChStage image;
+  image.dir = storage_path(tag);
   std::string out, err;
-  const int status = run_in_container(storage_path(tag), cfg, argv, out, err);
+  auto container = enter(image, cfg, err);
+  const int status =
+      container.ok() ? m_.shell().run_argv(*container, argv, out, err) : 1;
   t.block(out);
   t.block(err);
   return status;

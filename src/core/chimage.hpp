@@ -12,37 +12,22 @@
 // embedded libfakeroot (no wrapper installed into the image), and
 // ownership-preserving push driven by the fakeroot lies database.
 //
-// Multi-stage Dockerfiles are lowered to a buildgraph::BuildGraph and the
-// stages scheduled by buildgraph::StageScheduler: independent stages build
-// concurrently, each into its own storage directory, serializing access to
-// the simulated machine behind a per-builder mutex.
+// build() is core::BuildDriver's; ch-image supplies its storage backend:
+// each stage builds into its own host directory, cached as a Merkle tree
+// snapshot of that directory.
 #pragma once
 
 #include <map>
-#include <mutex>
 #include <string>
 
-#include "buildgraph/cache.hpp"
-#include "buildgraph/graph.hpp"
-#include "buildgraph/scheduler.hpp"
+#include "core/build_driver.hpp"
 #include "core/force.hpp"
 #include "core/machine.hpp"
 #include "core/runtime.hpp"
 #include "fakeroot/fakedb.hpp"
-#include "kernel/syscall_filter.hpp"
-#include "kernel/trace.hpp"
-#include "kernel/zeroconsistency.hpp"
 #include "image/registry.hpp"
-#include "obs/context.hpp"
-#include "obs/flightrec.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "image/tar.hpp"
 #include "support/transcript.hpp"
-
-namespace minicon::support {
-class ThreadPool;
-}
 
 namespace minicon::core {
 
@@ -64,13 +49,12 @@ struct ForceConfig {
 // debderiv, §5.3.1-2).
 const std::vector<ForceConfig>& builtin_force_configs();
 
-struct ChImageOptions {
+struct ChImageOptions : BuildOptions {
+  // `--force`: setting it alone keeps the historical meaning (fakeroot
+  // injection); setting force_mode implies it. kSeccomp needs no distro
+  // config, no init steps, and no RUN rewriting: the filter stacks under
+  // every container unconditionally.
   bool force = false;
-  // Which root emulator --force selects. Setting `force` alone keeps the
-  // historical meaning (fakeroot injection); setting a mode implies
-  // `force`. kSeccomp needs no distro config, no init steps, and no RUN
-  // rewriting: the filter stacks under every container unconditionally.
-  ForceMode force_mode = ForceMode::kNone;
   // §6.2.2 extensions (all off by default, matching the paper's ch-image):
   bool build_cache = false;
   bool embedded_fakeroot = false;
@@ -79,60 +63,16 @@ struct ChImageOptions {
   bool kernel_assisted_maps = false;
   std::string storage_dir;  // default $HOME/.local/share/ch-image
 
-  // Build cache shared with other builders (implies build_cache). When null
-  // and build_cache is set, the builder creates a private cache backed by
-  // the registry's chunk store.
-  buildgraph::BuildCachePtr shared_cache;
-
-  // Multi-stage scheduling: independent stages run concurrently on
-  // stage_pool (null = support::shared_pool()). parallel_stages=false
-  // forces serial execution; transcripts are identical either way.
-  bool parallel_stages = true;
-  std::shared_ptr<support::ThreadPool> stage_pool;
-
-  // Retry for RUN instructions that fail transiently (fault injection);
-  // default is one attempt, i.e. no retry.
-  buildgraph::RetryPolicy run_retry;
-
-  // Worker pool for the pipelined push path (chunk digest + upload overlap
-  // with tar serialization). Null selects the process-wide shared pool.
-  std::shared_ptr<support::ThreadPool> digest_pool;
-
-  // Syscall interposition stack. With tracing on, every container gets a
-  // TraceSyscalls layer and the build transcript reports per-RUN syscall
-  // counts, error deltas, and interposition depth.
-  bool trace_syscalls = false;
-  kernel::SyscallStatsPtr syscall_stats;  // shared sink; created if null
-  // Extra layers (e.g. fault injection) stacked above the runtime's syscall
-  // table, innermost first; trace and fakeroot wrap outside these.
-  std::vector<kernel::SyscallLayerFn> syscall_layers;
-
-  // Unified telemetry (`ch-image build --trace`): span tracing across the
-  // whole build — build → stage → instruction → syscall-batch — plus an
-  // ObserveSyscalls metrics layer stacked innermost in every container. A
-  // Tracer is created when `tracer` is null; read it back via tracer().
-  bool trace = false;
-  std::shared_ptr<obs::Tracer> tracer;
-  // ObserveSyscalls without full span tracing (implied by `trace`).
-  bool observe_syscalls = false;
-  // Registry the build reports into; null = obs::global_metrics(). Also
-  // re-points the build cache's mirrored counters.
-  obs::MetricsRegistry* metrics = nullptr;
   // Flight recorder the build's notable events (syscall errors, build
   // failures) land in; null = obs::global_flight_recorder(). Benches and
   // tests pass a private ring for isolation / a true recorder-off column.
   obs::FlightRecorder* flight_recorder = nullptr;
 };
 
-class ChImage {
+class ChImage : public BuildDriver {
  public:
   ChImage(Machine& m, kernel::Process invoker, image::Registry* registry,
           ChImageOptions options = {});
-
-  // `ch-image build -t tag -f dockerfile .` — returns the exit status and
-  // writes a Fig 2/3/10/11-style transcript.
-  int build(const std::string& tag, const std::string& dockerfile_text,
-            Transcript& t);
 
   // `ch-image push tag ref` — flattens ownership (root:root, setuid bits
   // cleared, single layer). With preserve_ownership, the embedded fakeroot
@@ -152,52 +92,45 @@ class ChImage {
 
   const image::ImageConfig* config(const std::string& tag) const;
 
-  // Build-cache counters (zero when caching is off). With a shared cache
-  // the counters aggregate every builder attached to it.
-  std::size_t cache_hits() const {
-    return cache_ != nullptr ? cache_->stats().hits : 0;
-  }
-  std::size_t cache_misses() const {
-    return cache_ != nullptr ? cache_->stats().misses : 0;
-  }
-  buildgraph::CacheStats cache_stats() const {
-    return cache_ != nullptr ? cache_->stats() : buildgraph::CacheStats{};
-  }
-  const buildgraph::BuildCachePtr& build_cache() const { return cache_; }
-  // Stage-scheduling stats for the most recent build.
-  const buildgraph::ScheduleStats& schedule_stats() const {
-    return sched_stats_;
-  }
-
   const fakeroot::FakeDbPtr& embedded_db() const { return embedded_db_; }
 
-  // Faked-op counts for --force=seccomp (null in the other modes).
-  const kernel::ZeroConsistencyStatsPtr& zeroconsistency_stats() const {
-    return zc_stats_;
-  }
-
-  // Aggregate syscall counters across every container entered (null unless
-  // tracing is enabled) and the interposition depth of the last container.
-  const kernel::SyscallStatsPtr& syscall_stats() const { return stats_; }
-  int last_interposition_depth() const { return last_depth_; }
-
-  // The span tracer (null unless options.trace / options.tracer) and the
-  // metrics registry this builder reports into (never null).
-  const std::shared_ptr<obs::Tracer>& tracer() const { return tracer_; }
-  obs::MetricsRegistry& metrics() const { return *metrics_; }
-
  private:
-  // Per-stage build state, indexed by stage index. Written only by the
-  // stage's own executor; read by dependent stages (after the scheduler's
-  // happens-before edge).
-  struct StageBuild {
-    std::string dir;  // host storage directory holding the stage's tree
-    image::ImageConfig cfg;
-    std::string key;  // build-cache chain after the last instruction
+  // A stage builds into its own host storage directory.
+  struct ChStage : StageBuild {
+    std::string dir;
     const ForceConfig* force_cfg = nullptr;
-    int modified_runs = 0;
+    bool fakeroot_inited = false;
+    bool keyword_hit = false;  // the current RUN matched a --force keyword
     bool any_keyword_match = false;
+    int modified_runs = 0;
   };
+
+  const BuildOptions& build_options() const override { return options_; }
+  std::unique_ptr<StageBuild> new_stage() const override {
+    return std::make_unique<ChStage>();
+  }
+  std::string key_seed() const override { return "ch-image"; }
+  int materialize(const std::string& tag, const buildgraph::BuildGraph& g,
+                  const buildgraph::Stage& s, const Stages& sb, StageBuild& o,
+                  Transcript& t, obs::SpanId stage_span) override;
+  int prepare_run(StageBuild& o, const build::Instruction& ins,
+                  std::vector<std::string>& argv, Transcript& t) override;
+  Result<kernel::Process> enter(StageBuild& o, const image::ImageConfig& cfg,
+                                std::string& why) override;
+  Result<vfs::SnapNodePtr> snapshot(StageBuild& o,
+                                    obs::SpanId parent) override;
+  bool restore(StageBuild& o, const vfs::SnapNodePtr& snap,
+               obs::SpanId parent) override;
+  Result<std::string> copy(StageBuild& o, const Stages& sb,
+                           const buildgraph::StageInstr& si,
+                           const std::string& src, std::string dst,
+                           Transcript& t) override;
+  void user(StageBuild& o, const std::string& name, Transcript& t) override;
+  void run_failed(const StageBuild& o, Transcript& t) override;
+  int finish(const std::string& tag, const buildgraph::BuildGraph& g,
+             Stages& sb, int rc,
+             const kernel::ZeroConsistencyStats::Totals& zc0,
+             Transcript& t) override;
 
   std::string storage_path(const std::string& tag) const;
   VoidResult ensure_dir(const std::string& path);
@@ -208,10 +141,6 @@ class ChImage {
   const ForceConfig* detect_config(const std::string& image_dir);
   Result<kernel::Process> enter(const std::string& image_dir,
                                 const image::ImageConfig& cfg);
-  int run_in_container(const std::string& image_dir,
-                       const image::ImageConfig& cfg,
-                       const std::vector<std::string>& argv, std::string& out,
-                       std::string& err);
   // Pulls `ref` into `dir` (transcript gets errors/warnings only). Consults
   // the machine's SnapshotLedger first: re-pulling a layer chain this
   // directory already held syncs back to the recorded state in O(changed).
@@ -229,39 +158,13 @@ class ChImage {
   // Merkle digest of a COPY source if its filesystem caches snapshots
   // (O(1) for unchanged files), else a content hash of `data`.
   std::string context_digest(const std::string& path, const std::string& data);
-  // Executes one build stage; called (possibly concurrently) by the
-  // scheduler. Serializes machine access via machine_mu_.
-  int build_stage(const std::string& tag, const buildgraph::BuildGraph& g,
-                  const buildgraph::Stage& s, std::vector<StageBuild>& sb,
-                  Transcript& t, obs::SpanId stage_span);
 
-  Machine& m_;
-  kernel::Process invoker_;
-  image::Registry* registry_;
   ChImageOptions options_;
   std::map<std::string, image::ImageConfig> configs_;
-  buildgraph::BuildCachePtr cache_;  // null when caching is off
-  buildgraph::ScheduleStats sched_stats_;
-  // One simulated machine, one kernel: stage bodies serialize behind this.
-  std::mutex machine_mu_;
   fakeroot::FakeDbPtr embedded_db_;
-  kernel::ZeroConsistencyStatsPtr zc_stats_;  // null unless force_mode seccomp
-  kernel::SyscallStatsPtr stats_;  // null unless tracing is enabled
-  int last_depth_ = 0;
-  std::shared_ptr<obs::Tracer> tracer_;  // null unless span tracing is on
-  // The running build's trace context: established in build() (inherited
-  // from the caller when one is active), re-installed in build_stage() on
-  // whichever pool worker runs the stage, so syscall errors and injected
-  // faults inside any stage carry the build's trace id.
-  obs::TraceContext trace_ctx_;
-  obs::MetricsRegistry* metrics_ = nullptr;  // resolved in the constructor
-  obs::FlightRecorder* recorder_ = nullptr;  // resolved in the constructor
   // Digest-keyed memo for flatten_snapshot: repeated pushes of a mostly
   // unchanged image re-transform only the changed paths.
   std::map<std::string, vfs::SnapNodePtr> flatten_memo_;
 };
-
-// Renders ['a', 'b', 'c'] the way ch-image transcripts do.
-std::string format_argv(const std::vector<std::string>& argv);
 
 }  // namespace minicon::core

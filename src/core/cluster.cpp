@@ -172,15 +172,6 @@ struct Cluster::NodeLaunch {
 
 Cluster::LaunchResult Cluster::parallel_launch(
     const std::string& image_ref, const std::vector<std::string>& argv,
-    bool via_shared_fs, int width) {
-  LaunchOptions options;
-  options.mode = via_shared_fs ? LaunchMode::kSharedFs : LaunchMode::kPullPerNode;
-  options.width = width;
-  return parallel_launch(image_ref, argv, options);
-}
-
-Cluster::LaunchResult Cluster::parallel_launch(
-    const std::string& image_ref, const std::vector<std::string>& argv,
     const LaunchOptions& options) {
   // One trace id for the whole launch: explicit > inherited > fresh. The
   // scope installs it on this thread; fan-out bodies re-install a per-node

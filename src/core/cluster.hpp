@@ -121,10 +121,6 @@ class Cluster {
   LaunchResult parallel_launch(const std::string& image_ref,
                                const std::vector<std::string>& argv,
                                const LaunchOptions& options);
-  // Compatibility wrapper: via_shared_fs toggles kSharedFs vs kPullPerNode.
-  LaunchResult parallel_launch(const std::string& image_ref,
-                               const std::vector<std::string>& argv,
-                               bool via_shared_fs, int width = 0);
 
   // Node-local chunk caches (the per-node NVMe staging model). They persist
   // across launches, so a warm P2P relaunch transfers only missing chunks.

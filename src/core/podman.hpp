@@ -13,103 +13,46 @@
 //   * experimental unprivileged mode: single self-map +
 //     --ignore-chown-errors, whose openssh-server failure is Fig 5;
 //   * shared-filesystem graphroot clash (xattrs / server-side IDs, §4.2);
-//   * multi-stage builds lowered to a buildgraph::BuildGraph and scheduled
-//     by buildgraph::StageScheduler (independent stages run concurrently).
+//   * build() is core::BuildDriver's; Podman supplies its storage backend:
+//     each stage is a stack of storage-driver layers, cached as layer diffs.
 #pragma once
 
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 
-#include "buildgraph/cache.hpp"
-#include "buildgraph/graph.hpp"
-#include "buildgraph/scheduler.hpp"
-#include "core/force.hpp"
+#include "core/build_driver.hpp"
 #include "core/machine.hpp"
 #include "core/runtime.hpp"
 #include "core/storage.hpp"
-#include "kernel/zeroconsistency.hpp"
 #include "image/registry.hpp"
-#include "kernel/syscall_filter.hpp"
-#include "kernel/trace.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "support/transcript.hpp"
-
-namespace minicon::support {
-class ThreadPool;
-}
 
 namespace minicon::core {
 
-struct PodmanOptions {
+// force_mode kSeccomp stacks the zero-consistency filter under every
+// container — the interesting pairing is the unprivileged single-map mode
+// (rootless_helpers=false), where it fakes the chowns Fig 5 dies on instead
+// of merely ignoring their errors. kFakeroot is not a podman thing (rootless
+// helpers already give real consistency) and is treated as kNone.
+struct PodmanOptions : BuildOptions {
   enum class Driver { kOverlay, kVfs };
   Driver driver = Driver::kOverlay;
   // Default rootless configuration with privileged helpers; false selects
   // the experimental unprivileged mode (§4.1.1 / Fig 5).
   bool rootless_helpers = true;
   bool ignore_chown_errors = false;
-  // kSeccomp stacks the zero-consistency filter under every container —
-  // the interesting pairing is the unprivileged single-map mode
-  // (rootless_helpers=false), where it fakes the chowns Fig 5 dies on
-  // instead of merely ignoring their errors. kFakeroot is not a podman
-  // thing (rootless helpers already give real consistency) and is treated
-  // as kNone.
-  ForceMode force_mode = ForceMode::kNone;
   bool build_cache = true;
-  // Build cache shared with other builders (implies build_cache). When null
-  // and build_cache is set, the builder creates a private cache backed by
-  // the registry's chunk store.
-  buildgraph::BuildCachePtr shared_cache;
   // Where image storage lives. Defaults to a fresh local filesystem
   // ("/tmp or local disk", §4.2); pass a SharedFs to model an NFS graphroot.
   vfs::FilesystemPtr graphroot_backing;
   kernel::HelperConfig helper_config;
-
-  // Multi-stage scheduling: independent stages run concurrently on
-  // stage_pool (null = support::shared_pool()). parallel_stages=false
-  // forces serial execution; transcripts are identical either way.
-  bool parallel_stages = true;
-  std::shared_ptr<support::ThreadPool> stage_pool;
-
-  // Retry for RUN instructions that fail transiently (fault injection);
-  // default is one attempt, i.e. no retry.
-  buildgraph::RetryPolicy run_retry;
-
-  // Worker pool for the pipelined push path (per-layer chunk digest +
-  // upload overlap with tar serialization). Null selects the process-wide
-  // shared pool.
-  std::shared_ptr<support::ThreadPool> digest_pool;
-
-  // Syscall interposition stack: with tracing on, every container gets a
-  // TraceSyscalls layer and the transcript reports per-STEP syscall counts.
-  bool trace_syscalls = false;
-  kernel::SyscallStatsPtr syscall_stats;  // shared sink; created if null
-  // Extra layers (e.g. fault injection), innermost first; trace wraps them.
-  std::vector<kernel::SyscallLayerFn> syscall_layers;
-
-  // Unified telemetry (`podman build --trace`): span tracing across the
-  // whole build — build → stage → instruction → syscall-batch — plus an
-  // ObserveSyscalls metrics layer stacked innermost in every container. A
-  // Tracer is created when `tracer` is null; read it back via tracer().
-  bool trace = false;
-  std::shared_ptr<obs::Tracer> tracer;
-  // ObserveSyscalls without full span tracing (implied by `trace`).
-  bool observe_syscalls = false;
-  // Registry the build reports into; null = obs::global_metrics(). Also
-  // re-points the build cache's mirrored counters.
-  obs::MetricsRegistry* metrics = nullptr;
 };
 
-class Podman {
+class Podman : public BuildDriver {
  public:
   Podman(Machine& m, kernel::Process invoker, image::Registry* registry,
          PodmanOptions options = {});
-
-  // `podman build -t tag .`
-  int build(const std::string& tag, const std::string& dockerfile_text,
-            Transcript& t);
 
   // `podman push tag ref` — base layers by digest plus one diff layer per
   // built layer, ownership preserved in container-namespace IDs.
@@ -122,40 +65,11 @@ class Podman {
   // `podman unshare cat /proc/self/uid_map` (Figs 4 and 5).
   int show_id_maps(Transcript& t);
 
+  // Rootfs handle for a built image's top layer (for runtimes and tests).
+  Result<RootFs> image_rootfs(const std::string& tag) const;
+
   const image::ImageConfig* config(const std::string& tag) const;
   StorageDriver& driver() { return *driver_; }
-
-  // Build-cache counters (zero when caching is off). With a shared cache
-  // the counters aggregate every builder attached to it.
-  std::size_t cache_hits() const {
-    return cache_ != nullptr ? cache_->stats().hits : 0;
-  }
-  std::size_t cache_misses() const {
-    return cache_ != nullptr ? cache_->stats().misses : 0;
-  }
-  buildgraph::CacheStats cache_stats() const {
-    return cache_ != nullptr ? cache_->stats() : buildgraph::CacheStats{};
-  }
-  const buildgraph::BuildCachePtr& build_cache() const { return cache_; }
-  // Stage-scheduling stats for the most recent build.
-  const buildgraph::ScheduleStats& schedule_stats() const {
-    return sched_stats_;
-  }
-
-  // Aggregate syscall counters across every container entered (null unless
-  // tracing is enabled) and the interposition depth of the last container.
-  const kernel::SyscallStatsPtr& syscall_stats() const { return stats_; }
-  int last_interposition_depth() const { return last_depth_; }
-
-  // Faked-op counts for force_mode == kSeccomp (null otherwise).
-  const kernel::ZeroConsistencyStatsPtr& zeroconsistency_stats() const {
-    return zc_stats_;
-  }
-
-  // The span tracer (null unless options.trace / options.tracer) and the
-  // metrics registry this builder reports into (never null).
-  const std::shared_ptr<obs::Tracer>& tracer() const { return tracer_; }
-  obs::MetricsRegistry& metrics() const { return *metrics_; }
 
   // The container-side view of a kernel ID under this Podman's map
   // (overflow ID when unmapped).
@@ -163,55 +77,52 @@ class Podman {
   vfs::Gid gid_to_container(vfs::Gid kgid) const;
 
  private:
-  struct BuiltImage {
+  // A stage, and a built image (its final stage), is a stack of
+  // storage-driver layers.
+  struct PodStage : StageBuild {
+    Layer current;  // top layer
     std::vector<std::string> base_digests;
     std::vector<Layer> run_layers;  // one per layer-creating instruction
-    Layer top;
-    image::ImageConfig config;
   };
 
-  // Per-stage build state, indexed by stage index. Written only by the
-  // stage's own executor; read by dependent stages (after the scheduler's
-  // happens-before edge).
-  struct StageBuild {
-    Layer current;
-    image::ImageConfig cfg;
-    std::vector<std::string> base_digests;
-    std::vector<Layer> run_layers;
-    std::string key;  // build-cache chain after the last instruction
-  };
+  const BuildOptions& build_options() const override { return options_; }
+  std::unique_ptr<StageBuild> new_stage() const override {
+    return std::make_unique<PodStage>();
+  }
+  std::string key_seed() const override { return "podman|" + driver_->name(); }
+  int materialize(const std::string& tag, const buildgraph::BuildGraph& g,
+                  const buildgraph::Stage& s, const Stages& sb, StageBuild& o,
+                  Transcript& t, obs::SpanId stage_span) override;
+  int prepare_run(StageBuild& o, const build::Instruction& ins,
+                  std::vector<std::string>& argv, Transcript& t) override;
+  Result<kernel::Process> enter(StageBuild& o, const image::ImageConfig& cfg,
+                                std::string& why) override;
+  Result<vfs::SnapNodePtr> snapshot(StageBuild& o,
+                                    obs::SpanId parent) override;
+  bool restore(StageBuild& o, const vfs::SnapNodePtr& snap,
+               obs::SpanId parent) override;
+  Result<std::string> copy(StageBuild& o, const Stages& sb,
+                           const buildgraph::StageInstr& si,
+                           const std::string& src, std::string dst,
+                           Transcript& t) override;
+  void user(StageBuild& o, const std::string& name, Transcript& t) override;
+  int finish(const std::string& tag, const buildgraph::BuildGraph& g,
+             Stages& sb, int rc,
+             const kernel::ZeroConsistencyStats::Totals& zc0,
+             Transcript& t) override;
 
   Result<kernel::Process> enter(const Layer& layer,
                                 const image::ImageConfig& cfg);
+  // A fresh layer on top of `parent`, or a diagnostic in `t`.
+  Result<Layer> new_layer(const Layer& parent, Transcript& t);
   void load_id_maps();
   // Reads one file out of a layer's tree (store-side, no container entry).
   Result<std::string> read_from_layer(const Layer& layer,
                                       const std::string& path) const;
-  // Replays a cached diff tar on top of a fresh layer.
-  // Replays a cached diff snapshot into a fresh layer (entries carry
-  // host-side IDs, how the storage layer keeps them).
-  bool restore_layer(const Layer& layer, const vfs::SnapNodePtr& snapshot);
-  // Executes one build stage; called (possibly concurrently) by the
-  // scheduler. Serializes machine access via machine_mu_.
-  int build_stage(const buildgraph::BuildGraph& g, const buildgraph::Stage& s,
-                  std::vector<StageBuild>& sb, Transcript& t,
-                  obs::SpanId stage_span);
 
-  Machine& m_;
-  kernel::Process invoker_;
-  image::Registry* registry_;
   PodmanOptions options_;
   std::unique_ptr<StorageDriver> driver_;
-  std::map<std::string, BuiltImage> images_;
-  buildgraph::BuildCachePtr cache_;  // null when caching is off
-  buildgraph::ScheduleStats sched_stats_;
-  // One simulated machine, one storage driver: stage bodies serialize here.
-  std::mutex machine_mu_;
-  kernel::SyscallStatsPtr stats_;  // null unless tracing is enabled
-  kernel::ZeroConsistencyStatsPtr zc_stats_;  // null unless force_mode seccomp
-  int last_depth_ = 0;
-  std::shared_ptr<obs::Tracer> tracer_;  // null unless span tracing is on
-  obs::MetricsRegistry* metrics_ = nullptr;  // resolved in the constructor
+  std::map<std::string, PodStage> images_;
   kernel::IdMap uid_map_;
   kernel::IdMap gid_map_;
 };

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <memory>
+#include <tuple>
 
 #include "buildfile/dockerfile.hpp"
 #include "buildgraph/cache.hpp"
@@ -17,6 +18,7 @@
 #include "vfs/snapshot.hpp"
 #include "kernel/faultinject.hpp"
 #include "kernel/syscalls.hpp"
+#include "obs/flightrec.hpp"
 #include "support/threadpool.hpp"
 
 namespace minicon {
@@ -232,6 +234,13 @@ class BuildGraphTest : public ::testing::Test {
                         std::move(opts));
   }
 
+  // Merkle root digest of a built image's tree ("" when there is none).
+  static std::string root_digest(const Result<core::RootFs>& rootfs) {
+    if (!rootfs.ok()) return "";
+    auto snap = rootfs->fs->snapshot(rootfs->root);
+    return snap.ok() ? (*snap)->digest : "";
+  }
+
   static std::size_t count_lines(const Transcript& t,
                                  const std::string& needle) {
     std::size_t n = 0;
@@ -286,6 +295,28 @@ TEST_F(BuildGraphTest, ParallelTranscriptIsByteIdenticalToSerial) {
   EXPECT_TRUE(ch_par.schedule_stats().parallel);
 
   EXPECT_EQ(ts.text(), tp.text());
+  // The same tree, not only the same transcript.
+  const std::string digest = root_digest(ch_serial.image_rootfs("img"));
+  EXPECT_FALSE(digest.empty());
+  EXPECT_EQ(digest, root_digest(ch_par.image_rootfs("img")));
+
+  // The same holds for Podman.
+  core::PodmanOptions pm_serial_opts;
+  pm_serial_opts.parallel_stages = false;
+  auto pm_serial = make_podman(pm_serial_opts);
+  Transcript pts;
+  ASSERT_EQ(pm_serial.build("img", kFanOutDockerfile, pts), 0) << pts.text();
+  EXPECT_FALSE(pm_serial.schedule_stats().parallel);
+  core::PodmanOptions pm_par_opts;
+  pm_par_opts.stage_pool = std::make_shared<support::ThreadPool>(4);
+  auto pm_par = make_podman(pm_par_opts);
+  Transcript ptp;
+  ASSERT_EQ(pm_par.build("img", kFanOutDockerfile, ptp), 0) << ptp.text();
+  EXPECT_TRUE(pm_par.schedule_stats().parallel);
+  EXPECT_EQ(pts.text(), ptp.text());
+  const std::string pm_digest = root_digest(pm_serial.image_rootfs("img"));
+  EXPECT_FALSE(pm_digest.empty());
+  EXPECT_EQ(pm_digest, root_digest(pm_par.image_rootfs("img")));
 }
 
 // TSAN workhorse: repeated concurrent builds sharing one cache must stay
@@ -553,6 +584,138 @@ TEST_F(BuildGraphTest, PodmanParallelFanOutBuilds) {
   ASSERT_EQ(podman.run_in_image("fan", {"cat", "/a.txt", "/b.txt"}, rt), 0);
   EXPECT_TRUE(rt.contains("alpha"));
   EXPECT_TRUE(rt.contains("beta"));
+}
+
+// --- one cache-key rule -----------------------------------------------------------
+
+// Two Dockerfiles that differ only in the line before a RUN.
+struct LineBeforeRun {
+  const char* name;
+  const char* first;
+  const char* second;
+};
+
+void PrintTo(const LineBeforeRun& line, std::ostream* os) { *os << line.name; }
+
+class CacheKeyTest
+    : public BuildGraphTest,
+      public ::testing::WithParamInterface<std::tuple<bool, LineBeforeRun>> {
+ protected:
+  static std::string dockerfile(const char* line) {
+    return "FROM centos:7\n" + std::string(line) +
+           "\nRUN echo v=$V > /tmp/out\n";
+  }
+
+  // `cached` builds the first Dockerfile and then the second; `fresh`, with
+  // no cache, builds only the second. Both must end with the same image.
+  template <class Builder>
+  void expect_rebuild_matches_fresh(Builder& cached, Builder& fresh) {
+    const LineBeforeRun& line = std::get<1>(GetParam());
+    Transcript t1, t2, t3;
+    ASSERT_EQ(cached.build("img", dockerfile(line.first), t1), 0) << t1.text();
+    ASSERT_EQ(cached.build("img", dockerfile(line.second), t2), 0)
+        << t2.text();
+    ASSERT_EQ(fresh.build("img", dockerfile(line.second), t3), 0) << t3.text();
+    ASSERT_NE(cached.config("img"), nullptr);
+    ASSERT_NE(fresh.config("img"), nullptr);
+    EXPECT_EQ(cached.config("img")->serialize(),
+              fresh.config("img")->serialize())
+        << t2.text();
+    EXPECT_EQ(root_digest(cached.image_rootfs("img")),
+              root_digest(fresh.image_rootfs("img")))
+        << t2.text();
+  }
+};
+
+TEST_P(CacheKeyTest, RebuildMatchesAFreshBuildOfTheEditedDockerfile) {
+  if (std::get<0>(GetParam())) {
+    auto cached = make_podman();
+    core::PodmanOptions off;
+    off.build_cache = false;
+    auto fresh = make_podman(off);
+    expect_rebuild_matches_fresh(cached, fresh);
+    return;
+  }
+  core::ChImageOptions on;
+  on.build_cache = true;
+  on.storage_dir = "/tmp/key-cached";
+  auto cached = make_ch(on);
+  core::ChImageOptions off;
+  off.storage_dir = "/tmp/key-fresh";
+  auto fresh = make_ch(off);
+  expect_rebuild_matches_fresh(cached, fresh);
+  if (cached.config("img") != nullptr &&
+      fresh.config("img")->flatten_policy() == "disallow") {
+    // §6.2.5: the label survives the cache, so a flattened push is refused.
+    Transcript pt;
+    EXPECT_NE(cached.push("img", "keys/img:1", pt), 0) << pt.text();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothBuilders, CacheKeyTest,
+    ::testing::Combine(
+        ::testing::Bool(),
+        ::testing::Values(
+            LineBeforeRun{"ArgValue", "ARG V=one", "ARG V=two"},
+            LineBeforeRun{"Workdir", "WORKDIR /one", "WORKDIR /two"},
+            LineBeforeRun{"User", "USER root", "USER 1000"},
+            LineBeforeRun{"FlattenLabel",
+                          "LABEL org.minicon.ownership-flattening=allow",
+                          "LABEL org.minicon.ownership-flattening=disallow"})),
+    [](const ::testing::TestParamInfo<CacheKeyTest::ParamType>& info) {
+      return std::string(std::get<0>(info.param) ? "Podman_" : "ChImage_") +
+             std::get<1>(info.param).name;
+    });
+
+// --- trace parity -----------------------------------------------------------------
+
+TEST_F(BuildGraphTest, PodmanFailedBuildIsExplainedByItsTraceId) {
+  // A pooled fan-out: stage a's RUN meets an organic ENOENT, stage b's an
+  // injected EIO writing /b.txt.
+  core::PodmanOptions opts;
+  opts.stage_pool = std::make_shared<support::ThreadPool>(4);
+  opts.trace = true;
+  opts.syscall_layers.push_back([](std::shared_ptr<kernel::Syscalls> inner)
+                                    -> std::shared_ptr<kernel::Syscalls> {
+    auto layer = std::make_shared<kernel::FaultInjectSyscalls>(
+        std::move(inner), 7, kernel::FaultSpec{"", "b.txt", Err::eio});
+    layer->set_flight_recorder(&obs::global_flight_recorder());
+    return layer;
+  });
+  auto podman = make_podman(opts);
+  Transcript t;
+  ASSERT_NE(podman.build("doomed",
+                         "FROM centos:7 AS a\n"
+                         "RUN test -e /nope || echo alpha > /a.txt\n"
+                         "FROM centos:7 AS b\n"
+                         "RUN echo beta > /b.txt\n"
+                         "FROM centos:7\n"
+                         "COPY --from=a /a.txt /a.txt\n"
+                         "COPY --from=b /b.txt /b.txt\n",
+                         t),
+            0)
+      << t.text();
+
+  std::uint64_t trace_id = 0;
+  for (const auto& span : podman.tracer()->spans()) {
+    if (span.name != "build") continue;
+    for (const auto& [k, v] : span.attrs) {
+      if (k == "trace_id") trace_id = std::stoull(v, nullptr, 16);
+    }
+  }
+  ASSERT_NE(trace_id, 0u);
+  std::size_t failed = 0, faults = 0, syscall_errors = 0;
+  for (const auto& e : obs::global_flight_recorder().dump(trace_id)) {
+    EXPECT_EQ(e.trace_id, trace_id);
+    failed += e.kind == obs::FlightKind::kBuildFailed;
+    faults += e.kind == obs::FlightKind::kFaultInjected;
+    syscall_errors += e.kind == obs::FlightKind::kSyscallError;
+  }
+  EXPECT_EQ(failed, 1u);
+  // Recorded on the pool workers that ran stages a and b.
+  EXPECT_GE(faults, 1u);
+  EXPECT_GE(syscall_errors, 1u);
 }
 
 // --- satellite a: unified stats through the shell ---------------------------------

@@ -82,8 +82,10 @@ TEST(Cluster, AstraWorkflowEndToEnd) {
   ASSERT_EQ(podman.push("atse", "atse/app:1.2.5", pt), 0);
 
   // Distributed launch via per-node registry pulls.
-  auto result = cluster.parallel_launch("atse/app:1.2.5", {"atse-app"},
-                                        /*via_shared_fs=*/false);
+  core::Cluster::LaunchOptions per_node;
+  per_node.mode = core::Cluster::LaunchMode::kPullPerNode;
+  auto result = cluster.parallel_launch(
+      "atse/app:1.2.5", {"atse-app"}, per_node);
   EXPECT_EQ(result.nodes_ok, 4);
   EXPECT_EQ(result.nodes_failed, 0);
   for (const auto& out : result.outputs) {
@@ -108,9 +110,10 @@ TEST(Cluster, SharedFilesystemLaunch) {
   Transcript pt;
   ASSERT_EQ(ch.push("job", "jobs/hello:1", pt), 0);
 
-  auto result =
-      cluster.parallel_launch("jobs/hello:1", {"hostname"},
-                              /*via_shared_fs=*/true);
+  core::Cluster::LaunchOptions shared_fs;
+  shared_fs.mode = core::Cluster::LaunchMode::kSharedFs;
+  auto result = cluster.parallel_launch(
+      "jobs/hello:1", {"hostname"}, shared_fs);
   EXPECT_EQ(result.nodes_ok, 3);
   // Each node reports its own hostname: genuinely separate machines.
   for (int i = 0; i < 3; ++i) {
@@ -157,8 +160,10 @@ TEST(Cluster, PooledLaunchWidthNarrowerThanNodes) {
   Transcript pt;
   ASSERT_EQ(ch.push("job", "jobs/narrow:1", pt), 0);
 
-  auto result = cluster.parallel_launch("jobs/narrow:1", {"hostname"},
-                                        /*via_shared_fs=*/true);
+  core::Cluster::LaunchOptions shared_fs;
+  shared_fs.mode = core::Cluster::LaunchMode::kSharedFs;
+  auto result = cluster.parallel_launch(
+      "jobs/narrow:1", {"hostname"}, shared_fs);
   EXPECT_EQ(result.nodes_ok, 8);
   EXPECT_EQ(result.nodes_failed, 0);
   for (int i = 0; i < 8; ++i) {
@@ -168,8 +173,11 @@ TEST(Cluster, PooledLaunchWidthNarrowerThanNodes) {
   }
 
   // A per-call width override reshapes the pool without touching options.
-  auto wide = cluster.parallel_launch("jobs/narrow:1", {"hostname"},
-                                      /*via_shared_fs=*/true, /*width=*/4);
+  core::Cluster::LaunchOptions shared_fs_w4;
+  shared_fs_w4.mode = core::Cluster::LaunchMode::kSharedFs;
+  shared_fs_w4.width = 4;
+  auto wide = cluster.parallel_launch(
+      "jobs/narrow:1", {"hostname"}, shared_fs_w4);
   EXPECT_EQ(wide.nodes_ok, 8);
   EXPECT_EQ(wide.nodes_failed, 0);
 }
@@ -213,11 +221,15 @@ TEST(Cluster, LaunchPoolCachedPerWidthAcrossAlternatingCalls) {
   // Alternating widths must not rebuild a pool per call: each width gets
   // one pool, reused thereafter.
   for (int round = 0; round < 3; ++round) {
-    auto a = cluster.parallel_launch("jobs/pool:1", {"hostname"},
-                                     /*via_shared_fs=*/true, /*width=*/2);
+    core::Cluster::LaunchOptions shared_fs_w2;
+    shared_fs_w2.mode = core::Cluster::LaunchMode::kSharedFs;
+    shared_fs_w2.width = 2;
+    auto a = cluster.parallel_launch("jobs/pool:1", {"hostname"}, shared_fs_w2);
     EXPECT_EQ(a.nodes_ok, 2);
-    auto b = cluster.parallel_launch("jobs/pool:1", {"hostname"},
-                                     /*via_shared_fs=*/true, /*width=*/4);
+    core::Cluster::LaunchOptions shared_fs_w4;
+    shared_fs_w4.mode = core::Cluster::LaunchMode::kSharedFs;
+    shared_fs_w4.width = 4;
+    auto b = cluster.parallel_launch("jobs/pool:1", {"hostname"}, shared_fs_w4);
     EXPECT_EQ(b.nodes_ok, 2);
   }
   EXPECT_EQ(cluster.cached_launch_pools(), 2u);

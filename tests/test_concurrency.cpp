@@ -79,8 +79,10 @@ TEST(Concurrency, RepeatedParallelLaunches) {
   ASSERT_EQ(ch.push("job", "stress/job:1", pt), 0);
 
   for (int round = 0; round < 5; ++round) {
-    auto result = cluster.parallel_launch("stress/job:1", {"hostname"},
-                                          /*via_shared_fs=*/false);
+    core::Cluster::LaunchOptions per_node;
+    per_node.mode = core::Cluster::LaunchMode::kPullPerNode;
+    auto result = cluster.parallel_launch(
+        "stress/job:1", {"hostname"}, per_node);
     ASSERT_EQ(result.nodes_ok, 6) << "round " << round;
     ASSERT_EQ(result.nodes_failed, 0);
   }
@@ -99,8 +101,10 @@ TEST(Concurrency, SharedFsLaunchStress) {
   Transcript pt;
   ASSERT_EQ(ch.push("job", "stress/shared:1", pt), 0);
   for (int round = 0; round < 3; ++round) {
+    core::Cluster::LaunchOptions shared_fs;
+    shared_fs.mode = core::Cluster::LaunchMode::kSharedFs;
     auto result = cluster.parallel_launch(
-        "stress/shared:1", {"cat", "/etc/redhat-release"}, true);
+        "stress/shared:1", {"cat", "/etc/redhat-release"}, shared_fs);
     ASSERT_EQ(result.nodes_ok, 8) << "round " << round;
     for (const auto& out : result.outputs) {
       EXPECT_NE(out.find("CentOS"), std::string::npos);
