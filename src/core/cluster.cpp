@@ -351,8 +351,10 @@ Cluster::LaunchResult Cluster::launch_p2p(
   }
   result.image_bytes = swarm.plan().manifest.total_bytes;
 
+  obs::Span resolve_span(options.tracer.get(), "cluster.resolve_tree");
   auto target = resolve_launch_tree(registry_, *manifest, options_.user_uid,
                                     options_.user_uid);
+  resolve_span.end();
   if (target == nullptr) {
     result.nodes_failed = compute_count();
     return result;
@@ -441,6 +443,7 @@ Cluster::LaunchResult Cluster::launch_p2p(
       ++nodes_failed;
       return;
     }
+    obs::Span span(options.tracer.get(), "launch.materialize");
     Machine& node = *compute_[i];
     kernel::Process& user = *nodes[i].user;
     const std::string img_dir = spool_dir + "/img";
@@ -463,6 +466,15 @@ Cluster::LaunchResult Cluster::launch_p2p(
         }
       }
     }
+    if (options.tracer != nullptr) {
+      span.annotate("node", std::to_string(i));
+      span.annotate("status", std::to_string(status));
+      if (const obs::TraceContext node_ctx = obs::current_trace();
+          node_ctx.active()) {
+        span.annotate("trace_id", node_ctx.hex());
+      }
+    }
+    span.end();
     if (status == 0) {
       ++nodes_ok;
     } else {

@@ -1,7 +1,12 @@
 #include "support/sha256.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace minicon {
 
@@ -24,7 +29,138 @@ constexpr std::uint32_t rotr(std::uint32_t x, int n) {
   return std::rotr(x, n);
 }
 
+#if defined(__x86_64__)
+// The same compression with the x86 SHA extensions. State lives in two
+// registers in the order the instructions want (ABEF, CDGH); each loop
+// step runs four rounds on one 4-word message schedule vector, deriving
+// vector i >= 4 from vectors i-4..i-1 with sha256msg1/msg2.
+__attribute__((target("sha,sse4.1"))) void blocks_sha_ni(
+    detail::Sha256State& state, const std::uint8_t* data,
+    std::size_t blocks) {
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+  __m128i cdgh = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+  tmp = _mm_shuffle_epi32(tmp, 0xB1);    // CDAB
+  cdgh = _mm_shuffle_epi32(cdgh, 0x1B);  // EFGH
+  __m128i abef = _mm_alignr_epi8(tmp, cdgh, 8);
+  cdgh = _mm_blend_epi16(cdgh, tmp, 0xF0);
+
+  for (; blocks > 0; --blocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];
+#pragma GCC unroll 16
+    for (int i = 0; i < 16; ++i) {
+      __m128i& m = w[i & 3];
+      if (i < 4) {
+        m = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * i)),
+            byte_swap);
+      } else {  // m holds vector i-4 here
+        m = _mm_sha256msg1_epu32(m, w[(i - 3) & 3]);
+        m = _mm_add_epi32(m, _mm_alignr_epi8(w[(i - 1) & 3], w[(i - 2) & 3], 4));
+        m = _mm_sha256msg2_epu32(m, w[(i - 1) & 3]);
+      }
+      const __m128i wk = _mm_add_epi32(
+          m, _mm_loadu_si128(
+                 reinterpret_cast<const __m128i*>(&kRoundConstants[4 * i])));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  tmp = _mm_shuffle_epi32(abef, 0x1B);    // FEBA
+  cdgh = _mm_shuffle_epi32(cdgh, 0xB1);   // DCHG
+  abef = _mm_blend_epi16(tmp, cdgh, 0xF0);  // DCBA
+  cdgh = _mm_alignr_epi8(cdgh, tmp, 8);     // HGFE
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]), abef);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), cdgh);
+}
+#endif
+
+using BlocksFn = void (*)(detail::Sha256State&, const std::uint8_t*,
+                          std::size_t);
+
+// The one dispatch point: decided on first use, fixed for the process.
+BlocksFn blocks_fn() {
+  static const BlocksFn fn = [] {
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1")) {
+      return blocks_sha_ni;
+    }
+#endif
+    return detail::sha256_blocks_portable;
+  }();
+  return fn;
+}
+
 }  // namespace
+
+namespace detail {
+
+void sha256_blocks_portable(Sha256State& state, const std::uint8_t* data,
+                            std::size_t blocks) {
+  for (; blocks > 0; --blocks, data += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (std::uint32_t{data[i * 4]} << 24) |
+             (std::uint32_t{data[i * 4 + 1]} << 16) |
+             (std::uint32_t{data[i * 4 + 2]} << 8) |
+             std::uint32_t{data[i * 4 + 3]};
+    }
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 =
+          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+void sha256_blocks(Sha256State& state, const std::uint8_t* data,
+                   std::size_t blocks) {
+  blocks_fn()(state, data, blocks);
+}
+
+const char* sha256_kernel_name() {
+  return blocks_fn() == sha256_blocks_portable ? "portable" : "sha-ni";
+}
+
+}  // namespace detail
 
 void Sha256::reset() {
   state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
@@ -33,83 +169,48 @@ void Sha256::reset() {
   total_len_ = 0;
 }
 
-void Sha256::process_block(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (std::uint32_t{block[i * 4]} << 24) |
-           (std::uint32_t{block[i * 4 + 1]} << 16) |
-           (std::uint32_t{block[i * 4 + 2]} << 8) |
-           std::uint32_t{block[i * 4 + 3]};
-  }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
-}
-
+// Whole blocks go to the kernel straight from the caller's buffer; only a
+// partial head (topping up buffer_) or tail is copied.
 void Sha256::update(const void* data, std::size_t len) {
+  if (len == 0) return;
   const auto* bytes = static_cast<const std::uint8_t*>(data);
   total_len_ += len;
-  while (len > 0) {
-    const std::size_t space = buffer_.size() - buffer_len_;
-    const std::size_t take = len < space ? len : space;
+  if (buffer_len_ > 0) {
+    const std::size_t take = std::min(len, buffer_.size() - buffer_len_);
     std::memcpy(buffer_.data() + buffer_len_, bytes, take);
     buffer_len_ += take;
     bytes += take;
     len -= take;
-    if (buffer_len_ == buffer_.size()) {
-      process_block(buffer_.data());
-      buffer_len_ = 0;
-    }
+    if (buffer_len_ < buffer_.size()) return;
+    detail::sha256_blocks(state_, buffer_.data(), 1);
+    buffer_len_ = 0;
+  }
+  const std::size_t blocks = len / buffer_.size();
+  if (blocks > 0) {
+    detail::sha256_blocks(state_, bytes, blocks);
+    bytes += blocks * buffer_.size();
+    len -= blocks * buffer_.size();
+  }
+  if (len > 0) {
+    std::memcpy(buffer_.data(), bytes, len);
+    buffer_len_ = len;
   }
 }
 
 std::array<std::uint8_t, 32> Sha256::finish() {
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(&pad_byte, 1);
-  const std::uint8_t zero = 0;
-  while (buffer_len_ != 56) update(&zero, 1);
-
-  std::uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  // Padding: 0x80, zeros up to byte 56 of a block, then the bit length.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, buffer_.size() - buffer_len_);
+    detail::sha256_blocks(state_, buffer_.data(), 1);
+    buffer_len_ = 0;
   }
-  // update() would re-count the length bytes; feed the block directly.
-  std::memcpy(buffer_.data() + 56, len_bytes, 8);
-  process_block(buffer_.data());
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  }
+  detail::sha256_blocks(state_, buffer_.data(), 1);
 
   std::array<std::uint8_t, 32> out;
   for (int i = 0; i < 8; ++i) {

@@ -2,23 +2,30 @@
 // to a registry, launch in parallel on compute nodes.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "core/chimage.hpp"
 #include "core/cluster.hpp"
 #include "core/podman.hpp"
 #include "kernel/faultinject.hpp"
 #include "obs/context.hpp"
 #include "obs/flightrec.hpp"
+#include "obs/trace.hpp"
+#include "vfs/snapshot.hpp"
 
 namespace minicon {
 namespace {
 
-// Builds FROM centos:7 with one RUN, pushes as `ref`, returns success.
-bool build_and_push(core::Cluster& cluster, const std::string& ref) {
+// Builds `dockerfile` (by default FROM centos:7 with one RUN), pushes it as
+// `ref`, returns success.
+bool build_and_push(core::Cluster& cluster, const std::string& ref,
+                    const std::string& dockerfile =
+                        "FROM centos:7\nRUN echo ready\n") {
   auto alice = cluster.user_on(cluster.login());
   if (!alice.ok()) return false;
   core::ChImage ch(cluster.login(), *alice, &cluster.registry());
   Transcript t;
-  if (ch.build("job", "FROM centos:7\nRUN echo ready\n", t) != 0) return false;
+  if (ch.build("job", dockerfile, t) != 0) return false;
   Transcript pt;
   return ch.push("job", ref, pt) == 0;
 }
@@ -290,6 +297,90 @@ TEST(Cluster, P2PLaunchRunsEverywhereWithSublinearRegistryTraffic) {
   EXPECT_EQ(warm.nodes_ok, 8);
   EXPECT_EQ(warm.registry_bytes, 0u);
   EXPECT_EQ(warm.peer_bytes, 0u);
+}
+
+// Oracle for P2P materialization: after each launch of A, B, then A again,
+// every node's staged image has one digest, and that digest is what a full,
+// uncached snapshot_tree recomputes, so a stale per-inode snapshot cache
+// cannot hide. A and B write different bytes to the same path, and the
+// second A (synced over B) must equal the first (created from nothing), so
+// a wrong sync_tree reuse decision cannot hide either.
+TEST(Cluster, P2PMaterializedTreesAgreeWithUncachedSnapshot) {
+  core::ClusterOptions copts;
+  copts.arch = "x86_64";
+  copts.compute_nodes = 8;
+  core::Cluster cluster(copts);
+  ASSERT_TRUE(build_and_push(cluster, "jobs/oracle:a",
+                             "FROM centos:7\nRUN echo alpha > /payload\n"));
+  ASSERT_TRUE(build_and_push(cluster, "jobs/oracle:b",
+                             "FROM centos:7\nRUN echo beta > /payload\n"));
+  core::Cluster::LaunchOptions opts;
+  opts.mode = core::Cluster::LaunchMode::kP2P;
+  const std::string img_dir = "/home/" + copts.user + "/.swarm/img";
+
+  std::vector<std::string> roots;
+  for (const char* ref : {"jobs/oracle:a", "jobs/oracle:b", "jobs/oracle:a"}) {
+    SCOPED_TRACE(ref);
+    auto result = cluster.parallel_launch(ref, {"hostname"}, opts);
+    ASSERT_EQ(result.nodes_ok, 8);
+    std::string root;
+    for (int i = 0; i < 8; ++i) {
+      SCOPED_TRACE("node " + std::to_string(i));
+      auto user = cluster.user_on(cluster.compute(i));
+      ASSERT_TRUE(user.ok());
+      auto loc = user->sys->resolve(*user, img_dir, true);
+      ASSERT_TRUE(loc.ok());
+      vfs::Filesystem& fs = *loc->mnt->fs;
+      auto cached = fs.snapshot(loc->ino);
+      auto uncached = vfs::snapshot_tree(fs, loc->ino);
+      ASSERT_TRUE(cached.ok());
+      ASSERT_TRUE(uncached.ok());
+      EXPECT_EQ((*cached)->digest, (*uncached)->digest);
+      if (i == 0) root = (*uncached)->digest;
+      EXPECT_EQ((*uncached)->digest, root);
+    }
+    roots.push_back(root);
+  }
+  EXPECT_NE(roots[0], roots[1]);
+  EXPECT_EQ(roots[0], roots[2]);
+}
+
+// The launch path's own time is attributed: one tree-resolution span, then
+// one materialize span per node, stamped with that node's lane.
+TEST(Cluster, P2PTracedLaunchHasResolveAndPerNodeMaterializeSpans) {
+  core::ClusterOptions copts;
+  copts.arch = "x86_64";
+  copts.compute_nodes = 4;
+  core::Cluster cluster(copts);
+  ASSERT_TRUE(build_and_push(cluster, "jobs/spans:1"));
+  core::Cluster::LaunchOptions opts;
+  opts.mode = core::Cluster::LaunchMode::kP2P;
+  opts.tracer = std::make_shared<obs::Tracer>();
+  auto result = cluster.parallel_launch("jobs/spans:1", {"hostname"}, opts);
+  ASSERT_EQ(result.nodes_ok, 4);
+
+  const obs::SpanRecord* resolve = nullptr;
+  std::set<std::string> nodes;
+  std::vector<const obs::SpanRecord*> materialize;
+  const auto spans = opts.tracer->spans();
+  for (const auto& s : spans) {
+    if (s.name == "cluster.resolve_tree") {
+      EXPECT_EQ(resolve, nullptr);
+      resolve = &s;
+    } else if (s.name == "launch.materialize") {
+      materialize.push_back(&s);
+      for (const auto& [k, v] : s.attrs) {
+        if (k == "node") nodes.insert(v);
+      }
+    }
+  }
+  ASSERT_NE(resolve, nullptr);
+  ASSERT_EQ(materialize.size(), 4u);
+  EXPECT_EQ(nodes, (std::set<std::string>{"0", "1", "2", "3"}));
+  for (const auto* m : materialize) {
+    EXPECT_GE(m->start_us, resolve->end_us);
+    EXPECT_GE(m->end_us, m->start_us);
+  }
 }
 
 TEST(Cluster, P2PFaultedSeederFallsBackToRegistry) {

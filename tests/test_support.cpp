@@ -1,6 +1,11 @@
 // Unit tests for the support layer: SHA-256, paths, strings, transcript.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <random>
+#include <vector>
+
 #include "support/errno.hpp"
 #include "support/result.hpp"
 #include "support/path.hpp"
@@ -50,6 +55,105 @@ TEST(Sha256, IncrementalMatchesOneShot) {
 TEST(Sha256, OciDigestPrefix) {
   EXPECT_TRUE(oci_digest("x").starts_with("sha256:"));
   EXPECT_EQ(oci_digest("x").size(), 7 + 64);
+}
+
+// The NIST 448-bit and 896-bit messages, fed in uneven pieces so both the
+// staged and the direct-from-caller block paths see them.
+TEST(Sha256, NistLongVectorsIncremental) {
+  const struct {
+    std::string_view msg;
+    const char* hex;
+  } cases[] = {
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmn"
+       "opjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+       "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(Sha256::hex_digest(c.msg), c.hex);
+    Sha256 h;
+    h.update(c.msg.substr(0, 3));
+    h.update(c.msg.substr(3));
+    const auto d = h.finish();
+    EXPECT_EQ(to_hex(d.data(), d.size()), c.hex);
+  }
+}
+
+constexpr detail::Sha256State kSha256Init = {
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+    0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+
+// FIPS 180-4 §5.1.1 padding of msg[0, len), written at `offset` into the
+// returned buffer (the bytes before it are filler), independent of
+// Sha256::finish.
+std::vector<std::uint8_t> pad_message(const std::uint8_t* msg, std::size_t len,
+                                      std::size_t offset) {
+  const std::size_t padded = (len + 8) / 64 * 64 + 64;
+  std::vector<std::uint8_t> buf(offset + padded, 0);
+  std::copy(msg, msg + len, buf.begin() + static_cast<std::ptrdiff_t>(offset));
+  buf[offset + len] = 0x80;
+  const std::uint64_t bits = std::uint64_t{len} * 8;
+  for (int i = 0; i < 8; ++i) {
+    buf[buf.size() - 1 - static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(bits >> (8 * i));
+  }
+  return buf;
+}
+
+TEST(Sha256, DispatchedKernelIsShaNiWhenTheCpuHasIt) {
+  RecordProperty("sha256_kernel", detail::sha256_kernel_name());
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1")) {
+    EXPECT_STREQ(detail::sha256_kernel_name(), "sha-ni");
+    return;
+  }
+#endif
+  EXPECT_STREQ(detail::sha256_kernel_name(), "portable");
+}
+
+// Both kernels, over every message length 0..1100 at an aligned and an
+// unaligned address, reach the same state; Sha256 fed the same bytes in
+// seeded random pieces produces the digest of that state.
+TEST(Sha256, KernelsAgreeOnEveryLengthAndSplit) {
+  std::mt19937 rng(20210521);
+  std::vector<std::uint8_t> msg(1100);
+  for (auto& b : msg) b = static_cast<std::uint8_t>(rng());
+  for (std::size_t len = 0; len <= msg.size(); ++len) {
+    for (std::size_t offset : {0, 1}) {
+      const auto buf = pad_message(msg.data(), len, offset);
+      const std::uint8_t* at = buf.data() + offset;
+      const std::size_t blocks = (buf.size() - offset) / 64;
+      detail::Sha256State portable = kSha256Init;
+      detail::Sha256State dispatched = kSha256Init;
+      detail::sha256_blocks_portable(portable, at, blocks);
+      detail::sha256_blocks(dispatched, at, blocks);
+      ASSERT_EQ(portable, dispatched) << "len " << len << " offset " << offset;
+
+      std::array<std::uint8_t, 32> expected;
+      for (std::size_t i = 0; i < 8; ++i) {
+        for (std::size_t j = 0; j < 4; ++j) {
+          expected[i * 4 + j] =
+              static_cast<std::uint8_t>(portable[i] >> (24 - 8 * j));
+        }
+      }
+      // A short first piece leaves buffer_ partly full, so the second
+      // piece (64 bytes or more when the message is long enough) tops it
+      // up and then feeds whole blocks from the caller's buffer.
+      Sha256 h;
+      std::size_t pos = std::min(len, std::size_t{1} + rng() % 7);
+      h.update(at, pos);
+      std::size_t piece = 64 + rng() % 100;
+      while (pos < len) {
+        piece = std::min(piece, len - pos);
+        h.update(at + pos, piece);
+        pos += piece;
+        piece = rng() % 150;
+      }
+      ASSERT_EQ(h.finish(), expected) << "len " << len << " offset " << offset;
+    }
+  }
 }
 
 // --- paths ---------------------------------------------------------------------

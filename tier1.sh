@@ -52,20 +52,22 @@ ctest --test-dir "$TSAN_DIR" --output-on-failure \
 "$TSAN_DIR"/examples/swarm_smoke 8
 
 # ASAN pass: the builders move snapshot blobs across threads; make sure no
-# stage outlives what it borrows.
+# stage outlives what it borrows. test_support drives the SHA-256 kernels
+# (SHA-NI intrinsics with unaligned loads) over every length and offset.
 ASAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$ASAN_DIR" -S . -DMINICON_ASAN=ON
 cmake --build "$ASAN_DIR" -j "$(nproc)" \
-  --target test_buildgraph test_chimage test_podman
+  --target test_buildgraph test_chimage test_podman test_support
 ctest --test-dir "$ASAN_DIR" --output-on-failure \
-  -R 'test_buildgraph|test_chimage|test_podman'
+  -R 'test_buildgraph|test_chimage|test_podman|test_support'
 
 # UBSan pass: the Merkle digest layer folds lengths and type tags into byte
-# strings and the tar layer does octal/size arithmetic — the suites that
-# exercise both, plus the vfs CoW edge cases.
+# strings, the SHA-256 kernels shift and rotate words fed from unaligned
+# caller buffers, and the tar layer does octal/size arithmetic — the suites
+# that exercise them, plus the vfs CoW edge cases.
 UBSAN_DIR="${BUILD_DIR}-ubsan"
 cmake -B "$UBSAN_DIR" -S . -DMINICON_UBSAN=ON
 cmake --build "$UBSAN_DIR" -j "$(nproc)" \
-  --target test_vfs test_vfs_cow test_image test_buildgraph
+  --target test_vfs test_vfs_cow test_image test_buildgraph test_support
 ctest --test-dir "$UBSAN_DIR" --output-on-failure \
-  -R 'test_vfs|test_vfs_cow|test_image|test_buildgraph'
+  -R 'test_vfs|test_vfs_cow|test_image|test_buildgraph|test_support'
