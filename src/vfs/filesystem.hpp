@@ -91,6 +91,14 @@ class Filesystem {
   virtual VoidResult remove_xattr(const OpCtx& ctx, InodeNum node,
                                   const std::string& name) = 0;
 
+  // Makes the regular file `node` equal to the frozen regular-file `leaf`:
+  // content, mode, owner and xattrs. The default reads and compares the
+  // content, rewrites it if it differs, then fixes up metadata through the
+  // public interface, so a filesystem's own identity rules still apply.
+  // MemFs overrides it to adopt the leaf's content buffer by pointer.
+  virtual VoidResult assign(const OpCtx& ctx, InodeNum node,
+                            const SnapNodePtr& leaf);
+
   // Copy-on-write snapshot of the subtree rooted at `node`, with per-node
   // Merkle digests. The default walks the whole subtree through the public
   // interface (O(subtree)); MemFs and OverlayFs override it with per-inode

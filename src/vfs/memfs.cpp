@@ -50,8 +50,8 @@ InodeNum MemFs::alloc(const OpCtx& ctx, const CreateArgs& args) {
   node.st.dev_minor = args.dev_minor;
   node.st.mtime = ctx.now;
   if (args.type == FileType::Symlink) {
-    node.data = args.symlink_target;
-    node.st.size = node.data.size();
+    node.own = args.symlink_target;
+    node.st.size = node.own.size();
     node.st.mode = 0777;
   }
   inodes_.emplace(n, std::move(node));
@@ -111,14 +111,14 @@ Result<std::string> MemFs::readlink(InodeNum n) {
   Inode* node = get(n);
   if (node == nullptr) return Err::estale;
   if (node->st.type != FileType::Symlink) return Err::einval;
-  return node->data;
+  return std::string(view(*node));
 }
 
 Result<std::string> MemFs::read(InodeNum n) {
   Inode* node = get(n);
   if (node == nullptr) return Err::estale;
   if (node->st.type == FileType::Directory) return Err::eisdir;
-  return node->data;
+  return std::string(view(*node));
 }
 
 Result<InodeNum> MemFs::create(const OpCtx& ctx, InodeNum dir,
@@ -142,11 +142,13 @@ VoidResult MemFs::write(const OpCtx& ctx, InodeNum n, std::string data,
   if (node->st.type == FileType::Directory) return Err::eisdir;
   if (node->st.type != FileType::Regular) return Err::einval;
   if (append) {
-    node->data += data;
+    if (node->shared != nullptr) node->own = *node->shared;
+    node->own += data;
   } else {
-    node->data = std::move(data);
+    node->own = std::move(data);
   }
-  node->st.size = node->data.size();
+  node->shared.reset();
+  node->st.size = node->own.size();
   node->st.mtime = ctx.now;
   touch(n);
   return {};
@@ -309,6 +311,34 @@ VoidResult MemFs::remove_xattr(const OpCtx& ctx, InodeNum n,
   return {};
 }
 
+VoidResult MemFs::assign(const OpCtx& ctx, InodeNum n,
+                         const SnapNodePtr& leaf) {
+  Inode* node = get(n);
+  if (node == nullptr) return Err::estale;
+  if (node->st.type == FileType::Directory) return Err::eisdir;
+  if (node->st.type != FileType::Regular || leaf->type != FileType::Regular) {
+    return Err::einval;
+  }
+  const std::uint32_t mode = leaf->mode & mode::kPermMask;
+  node->shared = leaf->content;
+  std::string().swap(node->own);
+  node->st.size = view(*node).size();
+  node->st.mode = mode;
+  node->st.uid = leaf->uid;
+  node->st.gid = leaf->gid;
+  node->xattrs = leaf->xattrs;
+  node->st.mtime = ctx.now;
+  touch(n);
+  // Content, owner and xattrs were copied verbatim, so `leaf` is exactly
+  // what snapshot() would freeze unless the mode was normalized on the way
+  // in; then the cache stays empty and the next snapshot re-digests.
+  if (leaf->mode == mode && leaf->dev_major == node->st.dev_major &&
+      leaf->dev_minor == node->st.dev_minor) {
+    node->snap = leaf;
+  }
+  return {};
+}
+
 Result<SnapNodePtr> MemFs::snapshot(InodeNum n, SnapshotStats* stats) {
   Inode* node = get(n);
   if (node == nullptr) return Err::estale;
@@ -333,7 +363,10 @@ Result<SnapNodePtr> MemFs::snapshot(InodeNum n, SnapshotStats* stats) {
     }
   } else if (node->st.type == FileType::Regular ||
              node->st.type == FileType::Symlink) {
-    sn.content = std::make_shared<const std::string>(node->data);
+    if (node->shared == nullptr) {
+      node->shared = std::make_shared<const std::string>(std::move(node->own));
+    }
+    sn.content = node->shared;
   }
   node->snap = freeze_snap_node(std::move(sn));
   if (stats != nullptr) ++stats->nodes_built;
@@ -343,7 +376,7 @@ Result<SnapNodePtr> MemFs::snapshot(InodeNum n, SnapshotStats* stats) {
 std::uint64_t MemFs::total_bytes() const {
   std::uint64_t total = 0;
   for (const auto& [_, node] : inodes_) {
-    if (node.st.type == FileType::Regular) total += node.data.size();
+    if (node.st.type == FileType::Regular) total += view(node).size();
   }
   return total;
 }

@@ -6,7 +6,9 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -58,21 +60,35 @@ class MemFs : public Filesystem {
   VoidResult remove_xattr(const OpCtx& ctx, InodeNum node,
                           const std::string& name) override;
 
+  // Adopts `leaf`'s content buffer by pointer (no copy) and its metadata,
+  // then seeds the inode's snapshot cache with `leaf` itself when every
+  // digested field matches what snapshot() would freeze, so the next
+  // snapshot re-digests only the directories above it.
+  VoidResult assign(const OpCtx& ctx, InodeNum node,
+                    const SnapNodePtr& leaf) override;
+
   // O(changed) snapshots: each inode caches its frozen subtree snapshot and
   // mutations invalidate only the dirty path to the root, so re-snapshotting
   // after touching one file rebuilds one path and reuses every sibling.
   Result<SnapNodePtr> snapshot(InodeNum node,
                                SnapshotStats* stats = nullptr) override;
 
-  // Total bytes of file content; the storage-driver bench uses this to show
-  // the VFS driver's "significant storage overhead" (§4.1).
+  // Total logical bytes of file content (a buffer shared by several inodes
+  // or snapshots counts once per inode); the storage-driver bench uses this
+  // to show the VFS driver's "significant storage overhead" (§4.1).
   std::uint64_t total_bytes() const;
   std::size_t inode_count() const { return inodes_.size(); }
 
  private:
   struct Inode {
     Stat st;
-    std::string data;                           // regular / symlink target
+    // Regular-file content or symlink target. Bytes no one else holds live
+    // in `own`, so writes and appends work in place. snapshot() moves them
+    // into `shared` (no copy) and hands that buffer to the SnapNode;
+    // assign() adopts a leaf's buffer there. `shared` is copy-on-write:
+    // the next write replaces it, and an append copies it into `own` once.
+    std::string own;
+    std::shared_ptr<const std::string> shared;
     std::map<std::string, InodeNum> children;   // directory
     std::map<std::string, std::string> xattrs;
     SnapNodePtr snap;                // cached frozen subtree, null when dirty
@@ -87,6 +103,10 @@ class MemFs : public Filesystem {
   // parents; stops at ancestors that are already invalid (their own
   // ancestors must already be invalid too).
   void touch(InodeNum n);
+  static std::string_view view(const Inode& node) {
+    return node.shared != nullptr ? std::string_view(*node.shared)
+                                  : std::string_view(node.own);
+  }
 
   std::unordered_map<InodeNum, Inode> inodes_;
   InodeNum next_ino_ = 1;

@@ -112,6 +112,57 @@ Result<SnapNodePtr> Filesystem::snapshot(InodeNum node, SnapshotStats* stats) {
 
 namespace {
 
+VoidResult sync_metadata(Filesystem& fs, InodeNum ino, const Stat& st,
+                         const SnapNodePtr& target, const OpCtx& ctx,
+                         bool fix_owner = true) {
+  if (st.mode != target->mode) {
+    MINICON_TRY(fs.set_mode(ctx, ino, target->mode));
+  }
+  if (fix_owner && (st.uid != target->uid || st.gid != target->gid)) {
+    MINICON_TRY(fs.set_owner(ctx, ino, target->uid, target->gid));
+  }
+  if (auto xattrs = fs.list_xattrs(ino); xattrs.ok()) {
+    for (const auto& name : *xattrs) {
+      if (!target->xattrs.contains(name)) {
+        (void)fs.remove_xattr(ctx, ino, name);
+      }
+    }
+  }
+  for (const auto& [name, value] : target->xattrs) {
+    auto cur = fs.get_xattr(ino, name);
+    if (!cur.ok() || *cur != value) {
+      (void)fs.set_xattr(ctx, ino, name, value);
+    }
+  }
+  return {};
+}
+
+// The default assign(), all through the public interface: read, compare
+// and rewrite the content, then fix up mode, xattrs and (if `fix_owner`)
+// ownership.
+VoidResult assign_generic(Filesystem& fs, InodeNum ino, const Stat& st,
+                          const SnapNodePtr& leaf, const OpCtx& ctx,
+                          bool fix_owner) {
+  if (st.type != FileType::Regular || leaf->type != FileType::Regular) {
+    return st.is_dir() ? Err::eisdir : Err::einval;
+  }
+  MINICON_TRY_ASSIGN(data, fs.read(ino));
+  if (data != leaf->content_view()) {
+    MINICON_TRY(fs.write(ctx, ino, std::string(leaf->content_view()), false));
+  }
+  return sync_metadata(fs, ino, st, leaf, ctx, fix_owner);
+}
+
+}  // namespace
+
+VoidResult Filesystem::assign(const OpCtx& ctx, InodeNum node,
+                              const SnapNodePtr& leaf) {
+  MINICON_TRY_ASSIGN(st, getattr(node));
+  return assign_generic(*this, node, st, leaf, ctx, /*fix_owner=*/true);
+}
+
+namespace {
+
 // Creates (dir, name) from `node`, descending into directories.
 VoidResult create_from_snap(Filesystem& fs, InodeNum dir,
                             const std::string& name, const SnapNodePtr& node,
@@ -127,11 +178,21 @@ VoidResult create_from_snap(Filesystem& fs, InodeNum dir,
     args.symlink_target = std::string(node->content_view());
   }
   MINICON_TRY_ASSIGN(ino, fs.create(ctx, dir, name, args));
-  if (node->type == FileType::Regular && !node->content_view().empty()) {
-    MINICON_TRY(fs.write(ctx, ino, std::string(node->content_view()), false));
-  }
-  for (const auto& [xname, xvalue] : node->xattrs) {
-    (void)fs.set_xattr(ctx, ino, xname, xvalue);
+  if (node->type == FileType::Regular) {
+    // A server may store another owner than the one asked for (SharedFs
+    // root squash). Creation has always accepted that, and a chown toward
+    // the leaf's owner would be refused, so such a file gets only content,
+    // mode and xattrs.
+    MINICON_TRY_ASSIGN(st, fs.getattr(ino));
+    if (st.uid == node->uid && st.gid == node->gid) {
+      MINICON_TRY(fs.assign(ctx, ino, node));
+    } else {
+      MINICON_TRY(assign_generic(fs, ino, st, node, ctx, /*fix_owner=*/false));
+    }
+  } else {
+    for (const auto& [xname, xvalue] : node->xattrs) {
+      (void)fs.set_xattr(ctx, ino, xname, xvalue);
+    }
   }
   if (stats != nullptr) ++stats->created;
   if (node->type == FileType::Directory) {
@@ -157,30 +218,6 @@ VoidResult remove_entry(Filesystem& fs, InodeNum dir, const std::string& name,
     MINICON_TRY(fs.unlink(ctx, dir, name));
   }
   if (stats != nullptr) ++stats->removed;
-  return {};
-}
-
-VoidResult sync_metadata(Filesystem& fs, InodeNum ino, const Stat& st,
-                         const SnapNodePtr& target, const OpCtx& ctx) {
-  if (st.mode != target->mode) {
-    MINICON_TRY(fs.set_mode(ctx, ino, target->mode));
-  }
-  if (st.uid != target->uid || st.gid != target->gid) {
-    MINICON_TRY(fs.set_owner(ctx, ino, target->uid, target->gid));
-  }
-  if (auto xattrs = fs.list_xattrs(ino); xattrs.ok()) {
-    for (const auto& name : *xattrs) {
-      if (!target->xattrs.contains(name)) {
-        (void)fs.remove_xattr(ctx, ino, name);
-      }
-    }
-  }
-  for (const auto& [name, value] : target->xattrs) {
-    auto cur = fs.get_xattr(ino, name);
-    if (!cur.ok() || *cur != value) {
-      (void)fs.set_xattr(ctx, ino, name, value);
-    }
-  }
   return {};
 }
 
@@ -227,13 +264,7 @@ VoidResult sync_dir(Filesystem& fs, InodeNum ino, const SnapNodePtr& cur,
       continue;
     }
     if (est.type == FileType::Regular && tchild->type == FileType::Regular) {
-      // Rewrite in place: content first, then metadata.
-      MINICON_TRY_ASSIGN(data, fs.read(*existing));
-      if (data != tchild->content_view()) {
-        MINICON_TRY(fs.write(ctx, *existing,
-                             std::string(tchild->content_view()), false));
-      }
-      MINICON_TRY(sync_metadata(fs, *existing, est, tchild, ctx));
+      MINICON_TRY(fs.assign(ctx, *existing, tchild));
       ++stats.retouched;
       continue;
     }

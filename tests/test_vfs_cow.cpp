@@ -1,10 +1,12 @@
 // Copy-on-write snapshot tests: structural sharing, incremental Merkle
-// digests (O(changed) re-snapshot), overlay edge cases (whiteouts, renames
-// across shared subtrees, hard links, empty directories), and sync_tree.
+// digests (O(changed) re-snapshot), MemFs content buffers shared with
+// snapshots, overlay edge cases (whiteouts, renames across shared subtrees,
+// hard links, empty directories), and sync_tree.
 #include <gtest/gtest.h>
 
 #include "vfs/memfs.hpp"
 #include "vfs/overlayfs.hpp"
+#include "vfs/sharedfs.hpp"
 #include "vfs/snapshot.hpp"
 #include "vfs/treeops.hpp"
 
@@ -172,6 +174,86 @@ TEST(SnapshotCoW, RenameAcrossSharedSubtreesInvalidatesBothParents) {
   EXPECT_TRUE(after->children.at("src")->children.empty());
 }
 
+// --- shared content buffers -------------------------------------------------------
+
+// Re-freezing a held node's fields reproduces its digest only if no byte the
+// digest covers moved under it.
+void expect_intact(const SnapNodePtr& n, std::string_view bytes) {
+  EXPECT_EQ(n->content_view(), bytes);
+  EXPECT_EQ(freeze_snap_node(*n)->digest, n->digest);
+}
+
+// MemFs hands its content buffers to the snapshots it freezes, so a later
+// write or append must install a new buffer, not edit the one they hold.
+TEST(SnapshotCoW, WriteAndAppendLeaveEarlierSnapshotsIntact) {
+  MemFs fs;
+  const InodeNum f = must_write(fs, fs.root(), "f", "first");
+  const SnapNodePtr v1 = must_snap(fs)->children.at("f");
+  const std::string v1_digest = v1->digest;
+  ASSERT_TRUE(fs.write(ctx(), f, "second", false).ok());
+  const SnapNodePtr v2 = must_snap(fs)->children.at("f");
+  ASSERT_TRUE(fs.write(ctx(), f, "+tail", true).ok());
+  const SnapNodePtr v3 = must_snap(fs)->children.at("f");
+
+  expect_intact(v1, "first");
+  EXPECT_EQ(v1->digest, v1_digest);
+  expect_intact(v2, "second");
+  expect_intact(v3, "second+tail");
+  EXPECT_EQ(*fs.read(f), "second+tail");
+  EXPECT_EQ(fs.getattr(f)->size, 11u);
+}
+
+TEST(SnapshotCoW, AppendAfterAssignLeavesTheLeafUntouched) {
+  MemFs src;
+  must_write(src, src.root(), "f", "leaf-bytes");
+  const SnapNodePtr leaf = must_snap(src)->children.at("f");
+
+  MemFs fs;
+  const InodeNum f = must_write(fs, fs.root(), "f", "old");
+  const InodeNum g = must_write(fs, fs.root(), "g", "");
+  ASSERT_TRUE(fs.assign(ctx(), f, leaf).ok());
+  ASSERT_TRUE(fs.assign(ctx(), g, leaf).ok());
+  // Both inodes share the leaf's buffer; total_bytes still counts logical
+  // bytes per inode.
+  EXPECT_EQ(fs.total_bytes(), 2 * leaf->content_view().size());
+  ASSERT_TRUE(fs.write(ctx(), f, "+more", true).ok());
+
+  EXPECT_EQ(*fs.read(f), "leaf-bytes+more");
+  EXPECT_EQ(*fs.read(g), "leaf-bytes");
+  expect_intact(leaf, "leaf-bytes");
+  EXPECT_EQ(*src.read(*src.lookup(src.root(), "f")), "leaf-bytes");
+  EXPECT_EQ(must_snap(fs)->children.at("f")->content_view(),
+            "leaf-bytes+more");
+}
+
+// Appends extend a buffer no snapshot references in place; one a snapshot
+// still holds is copied once. Either way every name and every held
+// snapshot reads what it should.
+TEST(SnapshotCoW, RepeatedAppendsStayCorrect) {
+  MemFs fs;
+  const InodeNum f = must_write(fs, fs.root(), "log", "");
+  ASSERT_TRUE(fs.link(ctx(), fs.root(), "alias", f).ok());
+  std::string expect;
+  SnapNodePtr held;
+  std::string held_bytes;
+  for (int i = 0; i < 300; ++i) {
+    const std::string piece = std::to_string(i) + ";";
+    ASSERT_TRUE(fs.write(ctx(), f, piece, true).ok());
+    expect += piece;
+    if (i == 100) {
+      held = must_snap(fs)->children.at("log");
+      held_bytes = expect;
+    }
+    if (i == 200) (void)must_snap(fs);  // frozen, then dropped by the append
+  }
+  EXPECT_EQ(*fs.read(f), expect);
+  EXPECT_EQ(*fs.read(*fs.lookup(fs.root(), "alias")), expect);
+  EXPECT_EQ(fs.getattr(f)->size, expect.size());
+  EXPECT_EQ(fs.total_bytes(), expect.size());
+  expect_intact(held, held_bytes);
+  EXPECT_EQ(must_snap(fs)->children.at("log")->content_view(), expect);
+}
+
 // --- overlay edge cases -----------------------------------------------------------
 
 class OverlaySnapTest : public ::testing::Test {
@@ -315,6 +397,182 @@ TEST(SyncTree, ReplacesOnTypeChange) {
   ASSERT_TRUE(sync_tree(fs, fs.root(), target, ctx()).ok());
   EXPECT_EQ(must_snap(fs)->digest, target->digest);
   EXPECT_EQ(*fs.read(*fs.lookup(fs.root(), "x")), "file");
+}
+
+// The shape a P2P node materializes, owned by `owner` throughout, in two
+// variants that differ in a 64 KiB payload and in a setuid, xattr-bearing
+// leaf; `share` is identical in both.
+SnapNodePtr image_tree(int v, Uid owner = 0) {
+  MemFs src;
+  EXPECT_TRUE(src.set_owner(ctx(), src.root(), owner, owner).ok());
+  auto file = [&](InodeNum dir, const std::string& name, std::uint32_t m,
+                  const std::string& data) {
+    const InodeNum f =
+        must_create(src, dir, name, FileType::Regular, m, owner, owner);
+    EXPECT_TRUE(src.write(ctx(), f, data, false).ok());
+    return f;
+  };
+  auto dir = [&](const std::string& name) {
+    return must_create(src, src.root(), name, FileType::Directory, 0755,
+                       owner, owner);
+  };
+  file(dir("bin"), "payload", 0755,
+       std::string(64 * 1024, static_cast<char>('a' + v)));
+  const InodeNum tool =
+      file(dir("etc"), "tool", v == 0 ? 0755 : 04755, "tool");
+  EXPECT_TRUE(
+      src.set_xattr(ctx(), tool, "user.tag", "v" + std::to_string(v)).ok());
+  const InodeNum share = dir("share");
+  for (int i = 0; i < 8; ++i) {
+    file(share, "doc" + std::to_string(i), 0644, "stable");
+  }
+  return must_snap(src);
+}
+
+// `tree` with the leaf `dir`/`name` replaced by `edit` applied to a copy.
+template <typename Edit>
+SnapNodePtr with_leaf(const SnapNodePtr& tree, const std::string& dir,
+                      const std::string& name, Edit edit) {
+  SnapNode leaf = *tree->children.at(dir)->children.at(name);
+  edit(leaf);
+  SnapNode d = *tree->children.at(dir);
+  d.children[name] = freeze_snap_node(std::move(leaf));
+  SnapNode root = *tree;
+  root.children[dir] = freeze_snap_node(std::move(d));
+  return freeze_snap_node(std::move(root));
+}
+
+SnapNodePtr with_mode(const SnapNodePtr& tree, const std::string& dir,
+                      const std::string& name, std::uint32_t m) {
+  return with_leaf(tree, dir, name, [m](SnapNode& n) { n.mode = m; });
+}
+
+SnapNodePtr with_xattrs(const SnapNodePtr& tree, const std::string& dir,
+                        const std::string& name,
+                        std::map<std::string, std::string> xattrs) {
+  return with_leaf(tree, dir, name,
+                   [&xattrs](SnapNode& n) { n.xattrs = std::move(xattrs); });
+}
+
+TEST(SyncTree, AssignedLeavesNeedNoRedigest) {
+  const SnapNodePtr a = image_tree(0);
+  const SnapNodePtr b = image_tree(1);
+  MemFs fs;
+  const InodeNum img =
+      must_create(fs, fs.root(), "img", FileType::Directory, 0755);
+  ASSERT_TRUE(sync_tree(fs, img, a, ctx()).ok());
+  ASSERT_TRUE(sync_tree(fs, img, b, ctx()).ok());
+
+  // The synced leaves come from assign()'s cache; only img, bin and etc,
+  // the directories on the dirty path, are frozen afresh.
+  const std::uint64_t d0 = snapshot_digests_computed();
+  auto snap = fs.snapshot(img);
+  ASSERT_TRUE(snap.ok());
+  EXPECT_EQ(snapshot_digests_computed() - d0, 3u);
+  EXPECT_EQ((*snap)->digest, b->digest);
+  EXPECT_EQ((*snap)->children.at("bin")->children.at("payload")->content,
+            b->children.at("bin")->children.at("payload")->content);
+  auto uncached = snapshot_tree(fs, img);
+  ASSERT_TRUE(uncached.ok());
+  EXPECT_EQ((*uncached)->digest, b->digest);
+
+  // A mode outside kPermMask is normalized on the way in, so that leaf must
+  // not seed the cache: the next snapshot re-digests it with its dirty path
+  // and agrees with an uncached walk.
+  const SnapNodePtr c = with_mode(b, "etc", "tool", 0104755);
+  ASSERT_TRUE(sync_tree(fs, img, c, ctx()).ok());
+  const std::uint64_t d1 = snapshot_digests_computed();
+  auto csnap = fs.snapshot(img);
+  ASSERT_TRUE(csnap.ok());
+  EXPECT_EQ(snapshot_digests_computed() - d1, 3u);  // tool, etc, img
+  auto cuncached = snapshot_tree(fs, img);
+  ASSERT_TRUE(cuncached.ok());
+  EXPECT_EQ((*csnap)->digest, (*cuncached)->digest);
+  EXPECT_EQ((*csnap)->digest, b->digest);  // 0104755 & kPermMask == 04755
+}
+
+// OverlayFs and SharedFs keep the generic assign(): read, compare, rewrite,
+// then fix metadata through their own interface, so copy-up and server-side
+// identity rules apply. The expected SyncStats pin that sequence.
+TEST(SyncTree, GenericAssignOnOverlayFs) {
+  auto lower = std::make_shared<MemFs>();
+  ASSERT_TRUE(sync_tree(*lower, lower->root(), image_tree(0), ctx()).ok());
+  OverlayFs ovl(lower);
+  const SnapNodePtr b = image_tree(1);
+  auto stats = sync_tree(ovl, ovl.root(), b, ctx());
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->created, 0u);
+  EXPECT_EQ(stats->removed, 0u);
+  EXPECT_EQ(stats->retouched, 5u);  // root, bin, payload, etc, tool
+  EXPECT_EQ(stats->reused, 9u);     // share and its 8 docs
+  auto uncached = snapshot_tree(ovl, ovl.root());
+  ASSERT_TRUE(uncached.ok());
+  EXPECT_EQ((*uncached)->digest, b->digest);
+
+  // A target that differs only in mode rewrites no content.
+  const std::uint64_t upper = ovl.upper_bytes();
+  const SnapNodePtr m = with_mode(b, "bin", "payload", 0600);
+  stats = sync_tree(ovl, ovl.root(), m, ctx());
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->retouched, 3u);  // root, bin, payload
+  EXPECT_EQ(ovl.upper_bytes(), upper);
+  uncached = snapshot_tree(ovl, ovl.root());
+  ASSERT_TRUE(uncached.ok());
+  EXPECT_EQ((*uncached)->digest, m->digest);
+}
+
+TEST(SyncTree, GenericAssignOnSharedFs) {
+  // An unprivileged client on a root-squashing server without xattr
+  // support: xattrs never land, so the xattr-bearing leaf is rewritten on
+  // every sync, while the server's identity rules hold as before.
+  SharedFs fs;
+  OpCtx user = ctx();
+  user.host_uid = 1000;
+  user.host_gid = 1000;
+  user.host_privileged = false;
+  CreateArgs dir_args;
+  dir_args.type = FileType::Directory;
+  dir_args.mode = 0755;
+  auto img_ino = fs.create(user, fs.root(), "img", dir_args);
+  ASSERT_TRUE(img_ino.ok());
+  const InodeNum img = *img_ino;
+  auto stats = sync_tree(fs, img, image_tree(0, 1000), user);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->created, 13u);
+  const SnapNodePtr b = image_tree(1, 1000);
+  stats = sync_tree(fs, img, b, user);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->created, 0u);
+  EXPECT_EQ(stats->removed, 0u);
+  EXPECT_EQ(stats->retouched, 5u);
+  EXPECT_EQ(stats->reused, 9u);
+  auto uncached = snapshot_tree(fs, img);
+  ASSERT_TRUE(uncached.ok());
+  EXPECT_EQ((*uncached)->digest,
+            with_xattrs(b, "etc", "tool", {})->digest);
+
+  // A new file the target owns as root is created under the client's own
+  // id (the server's choice), as before; a chown of an existing one is
+  // refused.
+  SnapNode etc = *b->children.at("etc");
+  SnapNode rootfile = *etc.children.at("tool");
+  rootfile.uid = 0;
+  rootfile.gid = 0;
+  rootfile.xattrs.clear();
+  etc.children["rootfile"] = freeze_snap_node(std::move(rootfile));
+  SnapNode root = *b;
+  root.children["etc"] = freeze_snap_node(std::move(etc));
+  const SnapNodePtr c = freeze_snap_node(std::move(root));
+  stats = sync_tree(fs, img, c, user);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->created, 1u);
+  auto etc_ino = fs.lookup(img, "etc");
+  ASSERT_TRUE(etc_ino.ok());
+  auto rf = fs.lookup(*etc_ino, "rootfile");
+  ASSERT_TRUE(rf.ok());
+  EXPECT_EQ(fs.getattr(*rf)->uid, 1000u);
+  EXPECT_EQ(*fs.read(*rf), "tool");
+  EXPECT_EQ(sync_tree(fs, img, c, user).error(), Err::eperm);
 }
 
 TEST(Flatten, SharesUnchangedSubtreesAndDropsDevices) {

@@ -54,12 +54,16 @@ ctest --test-dir "$TSAN_DIR" --output-on-failure \
 # ASAN pass: the builders move snapshot blobs across threads; make sure no
 # stage outlives what it borrows. test_support drives the SHA-256 kernels
 # (SHA-NI intrinsics with unaligned loads) over every length and offset.
+# MemFs content buffers outlive their inodes and are shared across the node
+# filesystems a P2P launch materializes on pool workers: test_vfs_cow checks
+# the copy-on-write rule, test_cluster the launches.
 ASAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$ASAN_DIR" -S . -DMINICON_ASAN=ON
 cmake --build "$ASAN_DIR" -j "$(nproc)" \
-  --target test_buildgraph test_chimage test_podman test_support
+  --target test_buildgraph test_chimage test_podman test_support \
+  test_vfs_cow test_cluster
 ctest --test-dir "$ASAN_DIR" --output-on-failure \
-  -R 'test_buildgraph|test_chimage|test_podman|test_support'
+  -R 'test_buildgraph|test_chimage|test_podman|test_support|test_vfs_cow|test_cluster'
 
 # UBSan pass: the Merkle digest layer folds lengths and type tags into byte
 # strings, the SHA-256 kernels shift and rotate words fed from unaligned
